@@ -1,5 +1,7 @@
 """Exact trapezoid bisection by transversal strips, with base-60 arithmetic."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DomainError,
     IrrationalRootsError,
@@ -60,52 +62,9 @@ from .wall_solver import (
 
 __version__ = "0.1.0"
 
+# Every public name imported above; the submodules bound by those imports are not API.
 __all__ = [
-    "DomainError",
-    "IrrationalRootsError",
-    "NonTerminatingError",
-    "NotRegularError",
-    "ParseError",
-    "PlacesExceededError",
-    "TrapwallError",
-    "NestedRadical",
-    "QuadraticLength",
-    "Trapezoid",
-    "area",
-    "complement_area",
-    "cumulative_area",
-    "midpoint_connector",
-    "midpoint_connector_from_leg",
-    "parallelogram_diagonal",
-    "transversal_at",
-    "transversal_bisector",
-    "transversal_given_upper_area",
-    "triangle_median",
-    "triangle_parallel_bisector",
-    "PartyWallPlan",
-    "TraceStep",
-    "plan_wall",
-    "scribe_trace_obverse1",
-    "scribe_trace_smt26",
-    "wall_offset",
-    "RegularFactorization",
-    "SexValue",
-    "format_sex",
-    "is_regular",
-    "isqrt",
-    "parse_sex",
-    "rational_to_sex",
-    "reciprocal_regular",
-    "sex_to_rational",
-    "sqrt_sex",
-    "truncate_sex",
-    "SearchHit",
-    "WallQuadratic",
-    "discriminant",
-    "discriminant_kernel",
-    "k0_closed_form",
-    "search_hits",
-    "solve_k0",
-    "verify_split",
-    "wall_quadratic",
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

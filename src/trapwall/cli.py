@@ -66,21 +66,30 @@ def parse_value(text: str) -> Fraction:
     return sex_to_rational(parse_sex(text))
 
 
-def _decimal_str(x: Fraction, places: int) -> str:
-    sign = "-" if x < 0 else ""
-    magnitude = abs(x)
-    whole, rem = divmod(magnitude.numerator, magnitude.denominator)
+def _fixed_point(scaled: int, places: int) -> str:
+    """The nonnegative scaled / 10**places as text with `places` decimals."""
     if places == 0:
-        return f"{sign}{whole}"
-    digits = rem * 10**places // magnitude.denominator
-    return f"{sign}{whole}.{digits:0{places}d}"
+        return str(scaled)
+    whole, digits = divmod(scaled, 10**places)
+    return f"{whole}.{digits:0{places}d}"
+
+
+def _decimal_str(x: Fraction, places: int) -> str:
+    magnitude = abs(x)
+    text = _fixed_point(magnitude.numerator * 10**places // magnitude.denominator, places)
+    return f"-{text}" if x < 0 else text
 
 
 def _decimal_sqrt_str(x: Fraction, places: int) -> str:
-    scaled = math.isqrt(x.numerator * 10 ** (2 * places) // x.denominator)
-    if places == 0:
-        return str(scaled)
-    return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+    return _fixed_point(math.isqrt(x.numerator * 10 ** (2 * places) // x.denominator), places)
+
+
+def _exact_sex(x: Fraction, places: int = MAX_EXACT_PLACES) -> str | None:
+    """x's exact base-60 text within `places` fractional places, or None."""
+    try:
+        return str(rational_to_sex(x, places))
+    except (NonTerminatingError, PlacesExceededError):
+        return None
 
 
 def render(x: Fraction, cfg: OutputConfig) -> str:
@@ -89,20 +98,14 @@ def render(x: Fraction, cfg: OutputConfig) -> str:
         return str(x)
     if cfg.numeral == "dec":
         return f"{_decimal_str(x, cfg.places)} (approx)"
-    try:
-        return str(rational_to_sex(x, MAX_EXACT_PLACES))
-    except (NonTerminatingError, PlacesExceededError):
-        value, exact = truncate_sex(x, cfg.places)
-        return str(value) if exact else f"{value} (truncated)"
+    # No exact form within 20 places means no exact truncation to cfg.places <= 20.
+    text = _exact_sex(x)
+    return text if text is not None else f"{truncate_sex(x, cfg.places)[0]} (truncated)"
 
 
 def value_record(x: Fraction) -> dict:
     """The JSON shape for one exact value: rational always, base-60 when it exists."""
-    try:
-        sexagesimal = str(rational_to_sex(x, MAX_EXACT_PLACES))
-    except (NonTerminatingError, PlacesExceededError):
-        sexagesimal = None
-    return {"rational": str(x), "sexagesimal": sexagesimal}
+    return {"rational": str(x), "sexagesimal": _exact_sex(x)}
 
 
 def _emit(record: dict) -> None:
@@ -111,27 +114,20 @@ def _emit(record: dict) -> None:
 
 def cmd_convert(args: argparse.Namespace, cfg: OutputConfig) -> int:
     value = parse_value(args.value)
-    sex_text: str | None
-    try:
-        sex_text = str(
-            rational_to_sex(value, cfg.places if cfg.explicit_places else MAX_EXACT_PLACES)
-        )
-        truncated = False
-    except (NonTerminatingError, PlacesExceededError):
-        if cfg.numeral == "sex" and not cfg.explicit_places:
-            raise
-        approx, exact = truncate_sex(value, cfg.places)
-        sex_text = str(approx)
-        truncated = not exact
+    if cfg.numeral == "sex" and not cfg.explicit_places:
+        # Nothing asked for a truncation: a value with no exact form is exit 3.
+        sex_text = str(rational_to_sex(value, MAX_EXACT_PLACES))
+    else:
+        sex_text = _exact_sex(value, cfg.places if cfg.explicit_places else MAX_EXACT_PLACES)
+    truncated = sex_text is None
+    if truncated:
+        sex_text = str(truncate_sex(value, cfg.places)[0])
     if cfg.format == "jsonl":
         _emit({"rational": str(value), "sexagesimal": sex_text, "truncated": truncated})
-        return EXIT_OK
-    if cfg.numeral == "rat":
-        print(value)
-    elif cfg.numeral == "dec":
-        print(f"{_decimal_str(value, cfg.places)} (approx)")
-    else:
+    elif cfg.numeral == "sex":
         print(f"{sex_text} (truncated)" if truncated else sex_text)
+    else:
+        print(render(value, cfg))
     return EXIT_OK
 
 
@@ -167,6 +163,8 @@ def cmd_strips(args: argparse.Namespace, cfg: OutputConfig) -> int:
         parse_value(args.upper), parse_value(args.lower), parse_value(args.height)
     )
     n = args.n
+    if n < 1:
+        raise DomainError(f"strip count must be >= 1, got {n}")
     if cfg.format != "jsonl":
         print("k\td\tS\tS'")
     for k in range(n + 1):
@@ -261,26 +259,16 @@ def cmd_smt26(args: argparse.Namespace, cfg: OutputConfig) -> int:
             geometry.Trapezoid(Fraction(5, 3), Fraction(1, 3), 1), 10, 4
         )
         total = plan.left_area + plan.wall_area + plan.right_area
-        check: TraceStep | None = party_wall.TraceStep(
-            "check",
-            "S_left + S_wall + S_right",
-            total,
-            rational_to_sex(total, MAX_EXACT_PLACES),
-        )
+        sex = rational_to_sex(total, MAX_EXACT_PLACES)
+        steps.append(TraceStep("check", "S_left + S_wall + S_right", total, sex))
     else:
         steps = party_wall.scribe_trace_obverse1()
-        check = None
     for step in steps:
         if cfg.format == "jsonl":
             _emit(_step_record(step))
         else:
             suffix = " (truncated)" if step.truncated else ""
             print(f"{step.label}\t{step.description}\t{step.sex}{suffix}")
-    if check is not None:
-        if cfg.format == "jsonl":
-            _emit(_step_record(check))
-        else:
-            print(f"{check.label}\t{check.description}\t{check.sex}")
     return EXIT_OK
 
 
@@ -294,6 +282,18 @@ def _places_flag(text: str) -> int:
     return value
 
 
+_TRAPEZOID_ARGS = ("upper", "lower", "height", "n")
+_INTEGER_ARGS = {"n", "r_lo", "r_hi", "n_lo", "n_hi"}
+_COMMANDS = (
+    ("convert", "convert between numeral systems", cmd_convert, ("value",)),
+    ("bisect", "transversal bisector of a trapezoid", cmd_bisect, ("upper", "lower")),
+    ("strips", "transversals and strip areas", cmd_strips, _TRAPEZOID_ARGS),
+    ("wall", "solve for a bisecting party wall", cmd_wall, _TRAPEZOID_ARGS),
+    ("search", "scan ratios and strip counts", cmd_search, ("r_lo", "r_hi", "n_lo", "n_hi")),
+    ("smt26", "replay the tablet's computations", cmd_smt26, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "jsonl"), default="table")
@@ -305,42 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact trapezoid bisection by transversal strips, in base 60.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", parents=[common], help="convert between numeral systems")
-    p.add_argument("value")
-    p.set_defaults(handler=cmd_convert)
-
-    p = sub.add_parser("bisect", parents=[common], help="transversal bisector of a trapezoid")
-    p.add_argument("upper")
-    p.add_argument("lower")
-    p.set_defaults(handler=cmd_bisect)
-
-    p = sub.add_parser("strips", parents=[common], help="transversals and strip areas")
-    p.add_argument("upper")
-    p.add_argument("lower")
-    p.add_argument("height")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_strips)
-
-    p = sub.add_parser("wall", parents=[common], help="solve for a bisecting party wall")
-    p.add_argument("upper")
-    p.add_argument("lower")
-    p.add_argument("height")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_wall)
-
-    p = sub.add_parser("search", parents=[common], help="scan ratios and strip counts")
-    p.add_argument("r_lo", type=int)
-    p.add_argument("r_hi", type=int)
-    p.add_argument("n_lo", type=int)
-    p.add_argument("n_hi", type=int)
-    p.add_argument("--regular-only", action="store_true")
-    p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser("smt26", parents=[common], help="replay the tablet's computations")
-    p.add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
-    p.set_defaults(handler=cmd_smt26)
-
+    for name, help_text, handler, positionals in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg in _INTEGER_ARGS else None)
+        p.set_defaults(handler=handler)
+    sub.choices["search"].add_argument("--regular-only", action="store_true")
+    sub.choices["smt26"].add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
     return parser
 
 

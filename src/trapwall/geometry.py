@@ -12,15 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .sexagesimal import isqrt
-
-Rational = Fraction | int | str
+from .sexagesimal import Rational, exact_fraction, isqrt
 
 
-def _frac(value: Rational, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
-    return Fraction(value)
+def check_widths(upper: Rational, lower: Rational) -> tuple[Fraction, Fraction]:
+    """Both widths as Fractions, refused unless upper >= lower > 0."""
+    a = exact_fraction(upper, "upper width")
+    b = exact_fraction(lower, "lower width")
+    if not a >= b > 0:
+        raise DomainError("widths must satisfy upper >= lower > 0")
+    return a, b
 
 
 def _index_pair(k: int, n: int) -> None:
@@ -39,11 +40,10 @@ class Trapezoid:
     height: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", _frac(self.upper, "upper width"))
-        object.__setattr__(self, "lower", _frac(self.lower, "lower width"))
-        object.__setattr__(self, "height", _frac(self.height, "height"))
-        if not self.upper >= self.lower > 0:
-            raise DomainError("widths must satisfy upper >= lower > 0")
+        upper, lower = check_widths(self.upper, self.lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "height", exact_fraction(self.height, "height"))
         if self.height <= 0:
             raise DomainError("height must be positive")
 
@@ -84,10 +84,7 @@ def transversal_bisector(upper: Rational, lower: Rational) -> QuadraticLength:
 
     Its square is (upper^2 + lower^2) / 2, independent of the height.
     """
-    a = _frac(upper, "upper width")
-    b = _frac(lower, "lower width")
-    if not a >= b > 0:
-        raise DomainError("widths must satisfy upper >= lower > 0")
+    a, b = check_widths(upper, lower)
     return QuadraticLength.from_square((a * a + b * b) / 2)
 
 
@@ -116,7 +113,7 @@ def transversal_given_upper_area(trap: Trapezoid, upper_area: Rational) -> Quadr
 
     d^2 = upper^2 - 2 (upper - lower) * upper_area / height.
     """
-    s1 = _frac(upper_area, "upper area")
+    s1 = exact_fraction(upper_area, "upper area")
     if not 0 <= s1 <= area(trap):
         raise DomainError("prescribed area must lie within [0, area]")
     d_sq = trap.upper**2 - 2 * (trap.upper - trap.lower) * s1 / trap.height
@@ -141,11 +138,8 @@ def midpoint_connector_from_leg(
     which forces leg^2 > (upper - lower)^2 for a positive height.
     d^2 = leg^2 - 3 ((upper - lower) / 2)^2.
     """
-    a = _frac(upper, "upper width")
-    b = _frac(lower, "lower width")
-    c = _frac(leg, "leg")
-    if not a >= b > 0:
-        raise DomainError("widths must satisfy upper >= lower > 0")
+    a, b = check_widths(upper, lower)
+    c = exact_fraction(leg, "leg")
     if c <= 0 or c * c <= (a - b) ** 2:
         raise DomainError("leg too short for a positive height")
     return QuadraticLength.from_square(c * c - 3 * ((a - b) / 2) ** 2)
@@ -156,9 +150,9 @@ def triangle_median(a: Rational, b: Rational, base: Rational) -> QuadraticLength
 
     m^2 = (2 a^2 + 2 b^2 - base^2) / 4.
     """
-    sa = _frac(a, "side a")
-    sb = _frac(b, "side b")
-    sc = _frac(base, "base")
+    sa = exact_fraction(a, "side a")
+    sb = exact_fraction(b, "side b")
+    sc = exact_fraction(base, "base")
     if min(sa, sb, sc) <= 0 or sa + sb <= sc or sa + sc <= sb or sb + sc <= sa:
         raise DomainError("sides must form a nondegenerate triangle")
     return QuadraticLength.from_square((2 * sa**2 + 2 * sb**2 - sc**2) / 4)
@@ -166,7 +160,7 @@ def triangle_median(a: Rational, b: Rational, base: Rational) -> QuadraticLength
 
 def triangle_parallel_bisector(base: Rational) -> QuadraticLength:
     """Transversal parallel to `base` halving the triangle: d^2 = base^2 / 2."""
-    c = _frac(base, "base")
+    c = exact_fraction(base, "base")
     if c <= 0:
         raise DomainError("base must be positive")
     return QuadraticLength.from_square(c * c / 2)
@@ -181,9 +175,9 @@ def parallelogram_diagonal(
     a perfect rational square the nested-radical form is returned instead of
     an approximation.
     """
-    sa = _frac(a, "side a")
-    sb = _frac(b, "side b")
-    h = _frac(height, "height")
+    sa = exact_fraction(a, "side a")
+    sb = exact_fraction(b, "side b")
+    h = exact_fraction(height, "height")
     if sb <= 0 or h <= 0:
         raise DomainError("side b and height must be positive")
     if h > sa:

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 from . import geometry
 from .errors import DomainError
-from .geometry import Rational, Trapezoid, _frac
+from .geometry import Rational, Trapezoid
 from .sexagesimal import (
     SexValue,
+    exact_fraction,
     isqrt,
     rational_to_sex,
     reciprocal_regular,
@@ -52,7 +53,7 @@ class TraceStep:
 
 def wall_offset(trap: Trapezoid, thickness: Rational) -> Fraction:
     """Difference between the two wall edges: thickness * (upper - lower) / height."""
-    h0 = _frac(thickness, "wall thickness")
+    h0 = exact_fraction(thickness, "wall thickness")
     if not 0 < h0 < trap.height:
         raise DomainError("wall thickness must lie strictly between 0 and the height")
     return h0 * (trap.upper - trap.lower) / trap.height
@@ -110,8 +111,10 @@ def scribe_trace_smt26() -> list[TraceStep]:
     half_sum = sum_sq / 2
     # The scribe truncates the irrational root to one place and works with
     # that; for this data the truncation equals the exact wall midline 6/5.
+    # Explicit raises, not asserts, so that python -O keeps the checks.
     midline = sex_to_rational(sqrt_sex(half_sum, 1))
-    assert midline == Fraction(6, 5)
+    if midline != Fraction(6, 5):
+        raise AssertionError(f"truncated root {midline} is not the wall midline 6/5")
     left_edge = midline + half_offset
     right_edge = midline - half_offset
     right_pair = right_edge + lower
@@ -164,7 +167,8 @@ def scribe_trace_obverse1() -> list[TraceStep]:
     upper_sq = upper * upper
     remainder = upper_sq - scaled
     root_int, perfect = isqrt(int(remainder))
-    assert remainder.denominator == 1 and perfect
+    if remainder.denominator != 1 or not perfect:
+        raise AssertionError(f"{remainder} is not the square of an integer")
     root = Fraction(root_int)
 
     return [

@@ -23,6 +23,8 @@ from .errors import (
 
 BASE = 60
 
+Rational = Fraction | int | str
+
 # A digit renders as a plain decimal integer with no zero padding.
 _DIGIT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
@@ -174,10 +176,11 @@ def _places_needed(fact: RegularFactorization) -> int:
     return max((fact.pow2 + 1) // 2, fact.pow3, fact.pow5)
 
 
-def _exact(x: Fraction | int | str) -> Fraction:
-    if isinstance(x, float):
-        raise DomainError("floats are not exact; pass Fraction, int or string")
-    return Fraction(x)
+def exact_fraction(value: Rational, what: str) -> Fraction:
+    """The argument as a Fraction; floats are refused because they are not exact."""
+    if isinstance(value, float):
+        raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
+    return Fraction(value)
 
 
 def _from_scaled_int(sign: int, scaled: int, frac_places: int) -> SexValue:
@@ -206,7 +209,7 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
     """
     if not isinstance(max_frac_places, int) or max_frac_places < 0:
         raise DomainError("max_frac_places must be a nonnegative integer")
-    x = _exact(x)
+    x = exact_fraction(x, "value")
     if x == 0:
         return SexValue(1, (0,), ())
     sign = 1 if x > 0 else -1
@@ -232,7 +235,7 @@ def truncate_sex(x: Fraction, frac_places: int) -> tuple[SexValue, bool]:
     """
     if not isinstance(frac_places, int) or frac_places < 0:
         raise DomainError("frac_places must be a nonnegative integer")
-    x = _exact(x)
+    x = exact_fraction(x, "value")
     sign = 1 if x >= 0 else -1
     magnitude = abs(x)
     scaled, rem = divmod(magnitude.numerator * BASE**frac_places, magnitude.denominator)
@@ -251,7 +254,7 @@ def sqrt_sex(x: Fraction, frac_places: int) -> SexValue:
     Exact whenever the root is rational and representable within the places;
     trailing zero digits are canonicalised away.
     """
-    x = _exact(x)
+    x = exact_fraction(x, "value")
     if x < 0:
         raise DomainError("square root of a negative value")
     if not isinstance(frac_places, int) or frac_places < 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IrrationalRootsError
-from .geometry import Rational, Trapezoid, _frac, transversal_at
-from .sexagesimal import is_regular
+from .geometry import Rational, Trapezoid, check_widths, transversal_at
+from .sexagesimal import exact_fraction, is_regular
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,11 @@ class SearchHit:
     n_regular: bool
 
 
-def _check_widths(upper: Rational, lower: Rational) -> tuple[Fraction, Fraction]:
-    a = _frac(upper, "upper width")
-    b = _frac(lower, "lower width")
-    if not a > b > 0:
-        raise DomainError("wall problems need upper > lower > 0")
-    return a, b
-
-
 def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
     """The quadratic in the wall index for a trapezoid cut into n strips."""
-    a, b = _check_widths(upper, lower)
+    a, b = check_widths(upper, lower)
+    if a == b:
+        raise DomainError("wall problems need upper > lower > 0")
     if not isinstance(n, int) or n < 3:
         raise DomainError("strip count must be an integer >= 3")
     return WallQuadratic(
@@ -66,8 +60,8 @@ def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
 
 def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
     """Discriminant 4(2n^2-1)(a^2 + b^2) + 8ab of the wall quadratic; always positive."""
-    a = _frac(upper, "upper width")
-    b = _frac(lower, "lower width")
+    a = exact_fraction(upper, "upper width")
+    b = exact_fraction(lower, "lower width")
     if a <= 0 or b <= 0:
         raise DomainError("widths must be positive")
     if not isinstance(n, int) or n < 2:
@@ -98,6 +92,19 @@ def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(base - root, den), Fraction(base + root, den)
 
 
+def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
+    """The integers among (neg_linear -+ root) / den strictly between 1 and n.
+
+    Callers pass root > 0 and den > 0, so the roots come out distinct and ascending.
+    """
+    found = []
+    for numerator in (neg_linear - root, neg_linear + root):
+        quotient, rem = divmod(numerator, den)
+        if rem == 0 and 1 < quotient < n:
+            found.append(quotient)
+    return found
+
+
 def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     """All integer wall indices strictly between 1 and n solving the quadratic.
 
@@ -112,18 +119,12 @@ def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     lead = int(quad.lead * scale)
     linear = int(quad.linear * scale)
     constant = int(quad.constant * scale)
+    # Positive: wall_quadratic has checked upper > lower > 0 (see discriminant).
     disc = linear * linear - 4 * lead * constant
-    if disc < 0:
-        return []
     root = math.isqrt(disc)
     if root * root != disc:
         return []
-    found = set()
-    for numerator in (-linear - root, -linear + root):
-        quotient, rem = divmod(numerator, 2 * lead)
-        if rem == 0 and 1 < quotient < n:
-            found.add(quotient)
-    return sorted(found)
+    return _roots_between(-linear, root, 2 * lead, n)
 
 
 def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
@@ -172,11 +173,7 @@ def search_hits(
                 continue
             base = (2 * n + 1) * r - 1
             den = 2 * (r - 1)
-            found = []
-            for numerator in (base - root, base + root):
-                quotient, rem = divmod(numerator, den)
-                if rem == 0 and 1 < quotient < n:
-                    found.append(quotient)
+            found = _roots_between(base, root, den, n)
             if not found:
                 continue
             # Each companion root must be accounted for: outside (1, n) or found.
@@ -192,7 +189,7 @@ def search_hits(
             n_reg = is_regular(n) is not None
             if regular_only and not (n_reg and is_regular(r) is not None):
                 continue
-            for k0 in sorted(found):
+            for k0 in found:
                 if not verify_split(Trapezoid(r, 1, 1), n, k0):
                     raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
                 hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))

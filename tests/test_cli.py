@@ -108,6 +108,12 @@ def test_strips_midpoint(capsys):
     assert out.splitlines()[2].split("\t")[1] == "80"
 
 
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_strips_rejects_bad_count_before_output(capsys, n):
+    code, out, err = run_cli(capsys, "strips", "1;40", "0;20", "1", n)
+    assert code == 4 and out == "" and "error" in err
+
+
 def test_wall_smt26(capsys):
     code, out, _ = run_cli(capsys, "wall", "1;40", "0;20", "1", "10")
     assert code == 0

@@ -1,11 +1,16 @@
 """Tests for party-wall plans and the tablet traces."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trapwall
 from trapwall.errors import DomainError
 from trapwall.geometry import Trapezoid, area, transversal_at
 from trapwall.party_wall import (
@@ -164,3 +169,28 @@ def test_trace_truncation_coincides_with_exact_midline():
     truncated = [s for s in steps if s.truncated]
     assert len(truncated) == 1
     assert truncated[0].value == plan_wall(SMT26, 10, 4).midline
+
+
+def test_trace_checks_survive_python_O():
+    # Under python -O the traces still check their own arithmetic: a root
+    # truncated off the midline, or a remainder that is not a perfect square,
+    # makes them raise instead of returning a wrong trace.
+    script = (
+        "from trapwall import party_wall\n"
+        "from trapwall.sexagesimal import parse_sex\n"
+        "print(len(party_wall.scribe_trace_smt26()), len(party_wall.scribe_trace_obverse1()))\n"
+        "party_wall.sqrt_sex = lambda x, places: parse_sex('1;13')\n"
+        "party_wall.isqrt = lambda m: (50, False)\n"
+        "for trace in (party_wall.scribe_trace_smt26, party_wall.scribe_trace_obverse1):\n"
+        "    try:\n"
+        "        trace()\n"
+        "    except AssertionError:\n"
+        "        print('rejected')\n"
+    )
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    counts = f"{len(scribe_trace_smt26())} {len(scribe_trace_obverse1())}"
+    assert run.stdout.splitlines() == [counts, "rejected", "rejected"]
