@@ -39,8 +39,8 @@ EXIT_DOMAIN = 4
 MAX_EXACT_PLACES = 20
 DEFAULT_PLACES = 5
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+\Z")
+_NUMBER_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+_NEGATIVE_RE = re.compile(r"-[0-9]")
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,11 @@ class OutputConfig:
 def parse_value(text: str) -> Fraction:
     """Read a number as sexagesimal ("1;40", "2,53,20") or as "p/q" / integer."""
     text = text.strip()
-    if ";" in text or "," in text:
-        return sex_to_rational(parse_sex(text))
-    if _RATIO_RE.match(text):
-        numerator, denominator = text.split("/")
-        if int(denominator) == 0:
-            raise ParseError("zero denominator")
-        return Fraction(int(numerator), int(denominator))
-    if _INT_RE.match(text):
-        return Fraction(int(text))
+    if _NUMBER_RE.match(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator") from None
     return sex_to_rational(parse_sex(text))
 
 
@@ -75,9 +71,10 @@ def _fixed_point(scaled: int, places: int) -> str:
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
-    magnitude = abs(x)
-    text = _fixed_point(magnitude.numerator * 10**places // magnitude.denominator, places)
-    return f"-{text}" if x < 0 else text
+    scaled = abs(x.numerator) * 10**places // x.denominator
+    text = _fixed_point(scaled, places)
+    # A value that truncates to zero prints unsigned, as base-60 output does.
+    return f"-{text}" if x < 0 and scaled else text
 
 
 def _decimal_sqrt_str(x: Fraction, places: int) -> str:
@@ -292,13 +289,21 @@ _COMMANDS = (
     ("search", "scan ratios and strip counts", cmd_search, ("r_lo", "r_hi", "n_lo", "n_hi")),
     ("smt26", "replay the tablet's computations", cmd_smt26, ()),
 )
+_NUMERAL_COMMANDS = {"convert", "bisect", "strips", "wall"}
+_EXIT_CODES = {
+    ParseError: EXIT_SYNTAX,
+    NonTerminatingError: EXIT_REPRESENTATION,
+    PlacesExceededError: EXIT_REPRESENTATION,
+    DomainError: EXIT_DOMAIN,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "jsonl"), default="table")
-    common.add_argument("--numeral", choices=("sex", "rat", "dec"), default="sex")
-    common.add_argument("--places", type=_places_flag, default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("table", "jsonl"), default="table")
+    numerals = argparse.ArgumentParser(add_help=False)
+    numerals.add_argument("--numeral", choices=("sex", "rat", "dec"), default="sex")
+    numerals.add_argument("--places", type=_places_flag, default=None)
 
     parser = argparse.ArgumentParser(
         prog="trapwall",
@@ -306,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, positionals in _COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        parents = [output, numerals] if name in _NUMERAL_COMMANDS else [output]
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        # A private argparse attribute, pinned by tests: "-5/13" and "-1;40" are values.
+        p._negative_number_matcher = _NEGATIVE_RE
         for arg in positionals:
             p.add_argument(arg, type=int if arg in _INTEGER_ARGS else None)
         p.set_defaults(handler=handler)
@@ -317,23 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # search and smt26 print no computed values, so they take neither --numeral nor --places.
+    places = getattr(args, "places", None)
     cfg = OutputConfig(
         format=args.format,
-        numeral=args.numeral,
-        places=args.places if args.places is not None else DEFAULT_PLACES,
-        explicit_places=args.places is not None,
+        numeral=getattr(args, "numeral", OutputConfig.numeral),
+        places=places if places is not None else DEFAULT_PLACES,
+        explicit_places=places is not None,
     )
     try:
         return args.handler(args, cfg)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except (NonTerminatingError, PlacesExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REPRESENTATION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run() -> None:

@@ -74,6 +74,14 @@ class NestedRadical:
     inner_sq: Fraction
 
 
+def check_wall_index(trap: Trapezoid, n: int, k0: int) -> None:
+    """Refuse strip k0 of n as a party wall unless upper > lower and 1 < k0 < n."""
+    if trap.upper == trap.lower:
+        raise DomainError("wall problems need upper > lower")
+    if not isinstance(n, int) or not isinstance(k0, int) or not 1 < k0 < n:
+        raise DomainError(f"need integers with 1 < k0 < n, got k0={k0}, n={n}")
+
+
 def area(trap: Trapezoid) -> Fraction:
     """Exact area height * (upper + lower) / 2."""
     return trap.height * (trap.upper + trap.lower) / 2
@@ -104,7 +112,6 @@ def cumulative_area(trap: Trapezoid, k: int, n: int) -> Fraction:
 
 def complement_area(trap: Trapezoid, k: int, n: int) -> Fraction:
     """Area right of the k-th transversal: whole area minus cumulative_area."""
-    _index_pair(k, n)
     return area(trap) - cumulative_area(trap, k, n)
 
 

@@ -65,12 +65,7 @@ def plan_wall(trap: Trapezoid, n: int, k0: int) -> PartyWallPlan:
     The equal-share condition is not required: the plan reports whatever
     areas the data yields, and equality is a checkable property.
     """
-    if trap.upper == trap.lower:
-        raise DomainError("party walls need upper > lower")
-    if not isinstance(n, int) or n < 3:
-        raise DomainError("strip count must be an integer >= 3")
-    if not isinstance(k0, int) or not 1 < k0 < n:
-        raise DomainError(f"wall index must satisfy 1 < k0 < n, got {k0}")
+    geometry.check_wall_index(trap, n, k0)
     thickness = trap.height / n
     left_edge = geometry.transversal_at(trap, k0 - 1, n)
     right_edge = geometry.transversal_at(trap, k0, n)

@@ -149,8 +149,7 @@ def is_regular(m: int) -> RegularFactorization | None:
 
     Regular integers are exactly those whose reciprocals terminate in base 60.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"is_regular needs a positive integer, got {m!r}")
+    check_int(m, "is_regular's argument", 1)
     exponents = []
     for p in (2, 3, 5):
         count = 0
@@ -183,6 +182,12 @@ def exact_fraction(value: Rational, what: str) -> Fraction:
     return Fraction(value)
 
 
+def check_int(value: int, what: str, lo: int) -> None:
+    """Refuse anything but an int that is at least lo."""
+    if not isinstance(value, int) or value < lo:
+        raise DomainError(f"{what} must be an integer >= {lo}")
+
+
 def _from_scaled_int(sign: int, scaled: int, frac_places: int) -> SexValue:
     """SexValue of scaled / 60^frac_places."""
     frac_digits = []
@@ -207,8 +212,7 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
     PlacesExceededError when it is regular but needs more than max_frac_places
     fractional digits.
     """
-    if not isinstance(max_frac_places, int) or max_frac_places < 0:
-        raise DomainError("max_frac_places must be a nonnegative integer")
+    check_int(max_frac_places, "max_frac_places", 0)
     x = exact_fraction(x, "value")
     if x == 0:
         return SexValue(1, (0,), ())
@@ -233,8 +237,7 @@ def truncate_sex(x: Fraction, frac_places: int) -> tuple[SexValue, bool]:
 
     Returns the truncated numeral and whether it is exact.
     """
-    if not isinstance(frac_places, int) or frac_places < 0:
-        raise DomainError("frac_places must be a nonnegative integer")
+    check_int(frac_places, "frac_places", 0)
     x = exact_fraction(x, "value")
     sign = 1 if x >= 0 else -1
     magnitude = abs(x)
@@ -257,8 +260,7 @@ def sqrt_sex(x: Fraction, frac_places: int) -> SexValue:
     x = exact_fraction(x, "value")
     if x < 0:
         raise DomainError("square root of a negative value")
-    if not isinstance(frac_places, int) or frac_places < 0:
-        raise DomainError("frac_places must be a nonnegative integer")
+    check_int(frac_places, "frac_places", 0)
     # Largest t with (t / 60^p)^2 <= x, i.e. t = floor(sqrt(num*60^2p / den)).
     scaled = math.isqrt(x.numerator * BASE ** (2 * frac_places) // x.denominator)
     return _from_scaled_int(1, scaled, frac_places)

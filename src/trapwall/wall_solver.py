@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IrrationalRootsError
-from .geometry import Rational, Trapezoid, check_widths, transversal_at
-from .sexagesimal import exact_fraction, is_regular
+from .geometry import Rational, Trapezoid, check_wall_index, check_widths, transversal_at
+from .sexagesimal import check_int, exact_fraction, is_regular
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
     a, b = check_widths(upper, lower)
     if a == b:
         raise DomainError("wall problems need upper > lower > 0")
-    if not isinstance(n, int) or n < 3:
-        raise DomainError("strip count must be an integer >= 3")
+    check_int(n, "strip count", 3)
     return WallQuadratic(
         lead=2 * (a - b),
         linear=-(4 * n * a - 2 * b + 2 * a),
@@ -64,17 +63,14 @@ def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
     b = exact_fraction(lower, "lower width")
     if a <= 0 or b <= 0:
         raise DomainError("widths must be positive")
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("strip count must be an integer >= 2")
+    check_int(n, "strip count", 2)
     return 4 * (2 * n * n - 1) * (a * a + b * b) + 8 * a * b
 
 
 def discriminant_kernel(r: int, n: int) -> int:
     """(2n^2 - 1)(r^2 + 1) + 2r; the discriminant at a = r*b is 4 b^2 times this."""
-    if not isinstance(r, int) or r < 2:
-        raise DomainError("ratio must be an integer >= 2")
-    if not isinstance(n, int) or n < 3:
-        raise DomainError("strip count must be an integer >= 3")
+    check_int(r, "ratio", 2)
+    check_int(n, "strip count", 3)
     return (2 * n * n - 1) * (r * r + 1) + 2 * r
 
 
@@ -133,10 +129,7 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
     Deliberately independent of the quadratic and of the closed-form strip
     areas; uses only the transversal widths and elementary trapezoid areas.
     """
-    if trap.upper == trap.lower:
-        raise DomainError("wall problems need upper > lower")
-    if not isinstance(n, int) or not isinstance(k0, int) or not 1 < k0 < n:
-        raise DomainError(f"need integers with 1 < k0 < n, got k0={k0}, n={n}")
+    check_wall_index(trap, n, k0)
 
     def strip(i: int) -> Fraction:
         widths = transversal_at(trap, i - 1, n) + transversal_at(trap, i, n)
@@ -171,21 +164,14 @@ def search_hits(
             root = math.isqrt(kern)
             if root * root != kern:
                 continue
-            base = (2 * n + 1) * r - 1
-            den = 2 * (r - 1)
-            found = _roots_between(base, root, den, n)
+            found = solve_k0(r, 1, n)
+            # Every closed-form root that is an integer in (1, n) must be found.
+            # Explicit raises, not asserts, so that python -O keeps the checks.
+            for candidate in k0_closed_form(r, n):
+                if candidate.denominator == 1 and 1 < candidate < n and candidate not in found:
+                    raise AssertionError(f"root {candidate} lost at r={r}, n={n}")
             if not found:
                 continue
-            # Each companion root must be accounted for: outside (1, n) or found.
-            # Explicit raises, not asserts, so that python -O keeps the checks.
-            for numerator in (base - root, base + root):
-                companion = Fraction(numerator, den)
-                if not (
-                    companion <= 1
-                    or companion >= n
-                    or (companion.denominator == 1 and int(companion) in found)
-                ):
-                    raise AssertionError(f"root {companion} lost at r={r}, n={n}")
             n_reg = is_regular(n) is not None
             if regular_only and not (n_reg and is_regular(r) is not None):
                 continue

@@ -1,10 +1,19 @@
 """End-to-end tests of the command line surface, including exit codes."""
 
+import contextlib
+import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trapwall import geometry
 from trapwall.cli import main
+from trapwall.party_wall import plan_wall
+from trapwall.wall_solver import solve_k0
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +34,10 @@ def test_convert_to_rational(capsys):
 def test_convert_to_sexagesimal(capsys):
     code, out, _ = run_cli(capsys, "convert", "5/3")
     assert code == 0 and out.strip() == "1;40"
+    code, out, _ = run_cli(capsys, "convert", "+5/3")
+    assert code == 0 and out.strip() == "1;40"
+    code, out, _ = run_cli(capsys, "convert", "007")
+    assert code == 0 and out.strip() == "7"
 
 
 def test_convert_nonterminating_without_places(capsys):
@@ -44,11 +57,59 @@ def test_convert_parse_error(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "convert", "1/0")
     assert code == 2
+    code, _, err = run_cli(capsys, "convert", "5/00")
+    assert code == 2 and err == "error: zero denominator\n"
 
 
 def test_convert_decimal_labeled_approx(capsys):
     code, out, _ = run_cli(capsys, "convert", "5/3", "--numeral", "dec", "--places", "4")
     assert code == 0 and out.strip() == "1.6666 (approx)"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--numeral", "dec", "--places", "0", "--", "-1/3"], "0 (approx)"),
+        (["--numeral", "dec", "--", "-1/3000000"], "0.00000 (approx)"),
+        (["--numeral", "dec", "--places", "2", "--", "-5/3"], "-1.66 (approx)"),
+    ],
+)
+def test_convert_decimal_zero_is_unsigned(capsys, argv, text):
+    code, out, _ = run_cli(capsys, "convert", *argv)
+    assert code == 0 and out == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["convert", "-5/13", "--places", "3"], "-0;23,4,36 (truncated)\n"),
+        (["convert", "-1;40"], "-1;40\n"),
+        (["convert", "--numeral", "rat", "-1;40"], "-5/3\n"),
+    ],
+)
+def test_negative_value_as_positional(capsys, argv, text):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bisect", "-1;40", "0;20"],
+        ["strips", "1;40", "0;20", "-1", "10"],
+        ["wall", "1;40", "-0;20", "1", "10"],
+    ],
+)
+def test_negative_width_or_height_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["convert", "-x"], ["convert", "-1;40", "-x"]])
+def test_dash_letter_is_still_an_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_convert_jsonl(capsys):
@@ -123,6 +184,11 @@ def test_wall_smt26(capsys):
     assert "S_right = 0;26,24" in out
 
 
+def test_wall_rejects_small_strip_count(capsys):
+    code, out, err = run_cli(capsys, "wall", "2", "1", "1", "2")
+    assert (code, out, err) == (4, "", "error: strip count must be an integer >= 3\n")
+
+
 def test_wall_no_solution(capsys):
     code, out, _ = run_cli(capsys, "wall", "2", "1", "1", "10")
     assert code == 1 and "no admissible wall" in out
@@ -174,6 +240,21 @@ def test_search_regular_only(capsys):
     assert code == 0
     body = [line for line in out.splitlines()[1:-1]]
     assert body == ["5\t10\t4\tyes", "6\t25\t9\tyes", "9\t20\t7\tyes"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "2", "6", "3", "30", "--numeral", "dec"],
+        ["search", "2", "6", "3", "30", "--places", "3"],
+        ["smt26", "--numeral", "rat"],
+        ["smt26", "--places", "2"],
+    ],
+)
+def test_search_and_smt26_reject_numeral_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_smt26_reverse(capsys):
@@ -251,3 +332,187 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- differential property: printed base-60 values against the library -----
+
+DENOMINATORS = (1, 2, 3, 7, 8, 12, 13, 45, 60, 77, 1024, 3600)
+# (r, n) pairs with an admissible wall, so that wall prints plans and not only exit 1.
+WALL_HITS = ((5, 10), (17, 8), (6, 25), (9, 20), (3, 17))
+PLAN_KEYS = {
+    "c": "left_edge",
+    "e": "right_edge",
+    "d_mid": "midline",
+    "x": "edge_diff",
+    "h0": "wall_thickness",
+    "h1": "left_height",
+    "h2": "right_height",
+    "S_left": "left_area",
+    "S_wall": "wall_area",
+    "S_right": "right_area",
+}
+FLAG = " (truncated)"
+
+
+def read_sex(text):
+    """The exact value of canonical base-60 text, read without trapwall."""
+    whole, _, frac = text.lstrip("-").partition(";")
+    value = Fraction(0)
+    for digit in whole.split(","):
+        value = value * 60 + int(digit)
+    for place, digit in enumerate(frac.split(",") if frac else (), start=1):
+        value += Fraction(int(digit), 60**place)
+    return -value if text.startswith("-") else value
+
+
+def has_exact_form(x):
+    return (x * 60**20).denominator == 1
+
+
+def check_value(text, exact, places, flagged=None):
+    """Unflagged text is exact; flagged text is exact truncated toward zero to `places`."""
+    if flagged is None:
+        flagged = text.endswith(FLAG)
+        text = text.removesuffix(FLAG)
+    value = read_sex(text)
+    if not flagged:
+        assert value == exact, (text, exact)
+        return
+    assert value == 0 or (value < 0) == (exact < 0), (text, exact)
+    assert 0 < abs(exact) - abs(value) < Fraction(1, 60**places), (text, exact)
+
+
+def check_root(text, square, places):
+    """Text is sqrt(square), irrational, truncated toward zero to `places`."""
+    value = read_sex(text)
+    assert value >= 0 and value**2 < square < (value + Fraction(1, 60**places)) ** 2
+
+
+def check_record(record, exact):
+    assert Fraction(record["rational"]) == exact
+    if record["sexagesimal"] is None:
+        assert not has_exact_form(exact)
+    else:
+        assert read_sex(record["sexagesimal"]) == exact
+
+
+def call(argv):
+    """run_cli without capsys, which hypothesis cannot reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+values = st.builds(Fraction, st.integers(-(10**5), 10**5), st.sampled_from(DENOMINATORS))
+widths = st.builds(Fraction, st.integers(1, 10**4), st.sampled_from(DENOMINATORS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(("convert", "bisect", "strips", "wall")),
+    fmt=st.sampled_from(("table", "jsonl")),
+    places=st.none() | st.integers(0, 20),
+    data=st.data(),
+)
+def test_printed_values_match_the_library(command, fmt, places, data):
+    # README: every base-60 value printed without a (truncated) flag re-parses
+    # to the exact rational the library computed; a flagged one is that value
+    # truncated toward zero, less than one unit in its last place away.
+    unit_places = 5 if places is None else places
+    flags = ["--format", fmt] + ([] if places is None else ["--places", str(places)])
+    if command == "convert":
+        value = data.draw(values)
+        code, out = call(["convert", str(value)] + flags)
+        if code == 3:
+            assert places is None and not has_exact_form(value)
+            return
+        assert code == 0
+        if fmt == "jsonl":
+            record = json.loads(out)
+            assert Fraction(record["rational"]) == value
+            check_value(record["sexagesimal"], value, unit_places, flagged=record["truncated"])
+        else:
+            check_value(out.rstrip("\n"), value, unit_places)
+        return
+    lower = data.draw(widths)
+    if command == "bisect":
+        upper = lower + data.draw(widths | st.just(Fraction(0)))
+        code, out = call(["bisect", str(upper), str(lower)] + flags)
+        assert code == 0
+        square = geometry.transversal_bisector(upper, lower).value_sq
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        if root**2 != square:
+            root = None
+        if fmt == "jsonl":
+            record = json.loads(out)
+            check_record(record["d_sq"], square)
+            if root is None:
+                assert record["d"] is None
+                check_root(record["d_truncated"], square, unit_places)
+            else:
+                check_record(record["d"], root)
+                assert record["d_truncated"] is None
+            return
+        d_sq_line, d_line = out.splitlines()
+        check_value(d_sq_line.removeprefix("d^2 = "), square, unit_places)
+        d_text = d_line.removeprefix("d = ")
+        if root is None:
+            check_root(d_text.removesuffix(FLAG), square, unit_places)
+            assert d_text.endswith(FLAG)
+        else:
+            check_value(d_text, root, unit_places)
+        return
+    height = data.draw(widths)
+    if command == "strips":
+        upper = lower + data.draw(widths | st.just(Fraction(0)))
+        n = data.draw(st.integers(1, 12))
+        code, out = call(["strips", str(upper), str(lower), str(height), str(n)] + flags)
+        assert code == 0
+        trap = geometry.Trapezoid(upper, lower, height)
+        expected = [
+            (
+                geometry.transversal_at(trap, k, n),
+                geometry.cumulative_area(trap, k, n),
+                geometry.complement_area(trap, k, n),
+            )
+            for k in range(n + 1)
+        ]
+        if fmt == "jsonl":
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [record["k"] for record in records] == list(range(n + 1))
+            for record, exact in zip(records, expected):
+                for key, value in zip(("d", "S", "S_prime"), exact):
+                    check_record(record[key], value)
+            return
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(k) for k in range(n + 1)]
+        for row, exact in zip(rows, expected):
+            for text, value in zip(row[1:], exact):
+                check_value(text, value, unit_places)
+        return
+    ratio, n = data.draw(
+        st.sampled_from(WALL_HITS) | st.tuples(st.integers(2, 20), st.integers(3, 30))
+    )
+    upper = ratio * lower
+    code, out = call(["wall", str(upper), str(lower), str(height), str(n)] + flags)
+    indices = solve_k0(upper, lower, n)
+    assert code == (0 if indices else 1)
+    if not indices:
+        return
+    trap = geometry.Trapezoid(upper, lower, height)
+    plans = {k0: plan_wall(trap, n, k0) for k0 in indices}
+    if fmt == "jsonl":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [record["k0"] for record in records] == indices
+        for record in records:
+            for key, attr in PLAN_KEYS.items():
+                check_record(record[key], getattr(plans[record["k0"]], attr))
+        return
+    k0 = None
+    for line in out.splitlines():
+        key, _, text = line.partition(" = ")
+        if key == "k0":
+            k0 = int(text)
+        else:
+            check_value(text, getattr(plans[k0], PLAN_KEYS[key]), unit_places)

@@ -20,7 +20,7 @@ from trapwall.party_wall import (
     wall_offset,
 )
 from trapwall.sexagesimal import sex_to_rational
-from trapwall.wall_solver import solve_k0
+from trapwall.wall_solver import solve_k0, verify_split
 
 SMT26 = Trapezoid(Fraction(5, 3), Fraction(1, 3), 1)
 
@@ -71,6 +71,19 @@ def test_plan_wall_rejects_bad_input():
         plan_wall(SMT26, 10, 10)
     with pytest.raises(DomainError):
         plan_wall(SMT26, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "trap, n, k0",
+    [(Trapezoid(1, 1, 1), 10, 4), (SMT26, 10, 1), (SMT26, 10, 10), (SMT26, Fraction(10), 4)],
+    ids=["equal widths", "k0 = 1", "k0 = n", "non-integer n"],
+)
+def test_plan_wall_and_verify_split_refuse_alike(trap, n, k0):
+    with pytest.raises(DomainError) as planned:
+        plan_wall(trap, n, k0)
+    with pytest.raises(DomainError) as verified:
+        verify_split(trap, n, k0)
+    assert str(planned.value) == str(verified.value)
 
 
 def test_plan_wall_without_equal_shares():

@@ -155,6 +155,26 @@ def test_search_hits_reproduces_table1():
     assert run.stdout.splitlines() == [repr(TABLE1), "rejected"]
 
 
+def test_search_hits_catches_a_lost_root_under_python_O():
+    # On every perfect-square kernel the scan checks solve_k0 against the
+    # closed-form roots, also under python -O: a solver that finds nothing
+    # makes it raise at the first admissible root instead of returning [].
+    script = (
+        "from trapwall import wall_solver\n"
+        "wall_solver.solve_k0 = lambda upper, lower, n: []\n"
+        "try:\n"
+        "    print(wall_solver.search_hits(2, 20, 3, 1000))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines() == ["root 16 lost at r=2, n=37"]
+
+
 def test_search_hits_regular_only():
     hits = search_hits(2, 20, 3, 1000, regular_only=True)
     assert [(h.r, h.n, h.k0) for h in hits] == [(5, 10, 4), (6, 25, 9), (9, 20, 7)]
