@@ -7,18 +7,50 @@ Choosing strip k0 of n as a party wall leaves equal shares iff k0 solves
 with a, b the widths. Natural solutions in 1 < k0 < n are rare: they need the
 discriminant to be a perfect square. With a = r*b the discriminant reduces to
 4 b^2 * kernel(r, n), kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r, so the search
-over integer ratios scans kernel values for perfect squares.
+over integer ratios scans kernel values for perfect squares. A residue sieve
+first drops the (r, n) whose kernel is a non-square modulo small m.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IrrationalRootsError
-from .geometry import Rational, Trapezoid, check_wall_index, check_widths, transversal_at
+from .geometry import Rational, Trapezoid, check_wall_index, check_widths
 from .sexagesimal import check_int, exact_fraction, is_regular
+
+# A perfect square is a square residue modulo every m, so an (r, n) whose
+# kernel is a non-residue modulo one of these is skipped without an isqrt.
+# Each costs work per block and per line; adding 29 to 41 made no scan faster.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23)
+# Values sieved at once: bounds the masks' memory, whatever the range.
+SIEVE_BLOCK = 4096
+
+
+def _kernel_squares(m: int) -> bytes:
+    """Byte i * m + j is 1 when kernel(r, n) is a square modulo m for r = i, n = j (mod m)."""
+    squares = bytearray(m)
+    for y in range(m):
+        squares[y * y % m] = 1
+    periodic = bytes(squares) * (m + 1)
+    n_squares = bytes([j * j % m for j in range(m)])
+    rows = []
+    for i in range(m):
+        # kernel = 2(i^2 + 1) q - (i - 1)^2 with q = j^2 mod m: byte q of the
+        # extended slice is the residue flag of that kernel, for q < m. A step
+        # of 0 mod m is taken as m, which lands on the same residue each time.
+        step, start = 2 * (i * i + 1) % m or m, -((i - 1) ** 2) % m
+        by_q = periodic[start::step][:m]
+        rows.append(n_squares.translate(by_q.ljust(256, b"\0")))
+    return b"".join(rows)
+
+
+# Row r % m is the residue pattern over n for the ratio r, and column n % m
+# the pattern over r for the strip count n: both repeat with period m.
+_KERNEL_SQUARES = {m: _kernel_squares(m) for m in SIEVE_MODULI}
 
 
 @dataclass(frozen=True)
@@ -127,17 +159,61 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
     """Brute-force oracle: sum the strip areas on each side of strip k0 and compare.
 
     Deliberately independent of the quadratic and of the closed-form strip
-    areas; uses only the transversal widths and elementary trapezoid areas.
+    areas; it walks the transversal widths w[0..n] strip by strip in integers.
+    With the widths' denominators cleared by one lcm, n times w[i] is the
+    integer (n - i) * upper + i * lower. Strip i has area (w[i-1] + w[i]) * height / 2n,
+    and the factor height / 2n is common, so equal areas mean equal sums of w[i-1] + w[i].
     """
     check_wall_index(trap, n, k0)
-
-    def strip(i: int) -> Fraction:
-        widths = transversal_at(trap, i - 1, n) + transversal_at(trap, i, n)
-        return widths / 2 * trap.height / n
-
-    left = sum(strip(i) for i in range(1, k0))
-    right = sum(strip(i) for i in range(k0 + 1, n + 1))
+    scale = math.lcm(trap.upper.denominator, trap.lower.denominator)
+    upper = trap.upper.numerator * (scale // trap.upper.denominator)
+    lower = trap.lower.numerator * (scale // trap.lower.denominator)
+    # width[i] = n * scale * w[i] for i = 0..n; strip i spans width[i - 1] to width[i].
+    width = range(n * upper, n * lower + lower - upper, lower - upper)
+    left = sum(width[: k0 - 1]) + sum(width[1:k0])
+    right = sum(width[k0:n]) + sum(width[k0 + 1 :])
     return left == right
+
+
+def _sieve(lo: int, hi: int, patterns: list[bytes]) -> Iterator[int]:
+    """Every x in [lo, hi] for which byte x % m of each pattern is set, m its length.
+
+    Each block of SIEVE_BLOCK values ANDs the patterns, tiled to the block, as
+    0/1 bytes in one big integer, so memory does not grow with hi - lo.
+    """
+    length = min(SIEVE_BLOCK, hi - lo + 1)
+    # At least m bytes more than a block, so a slice at any offset < m fills it.
+    tiles = [(len(pattern), pattern * (length // len(pattern) + 2)) for pattern in patterns]
+    for start in range(lo, hi + 1, SIEVE_BLOCK):
+        size = min(SIEVE_BLOCK, hi + 1 - start)
+        mask = -1
+        for m, tile in tiles:
+            offset = start % m
+            mask &= int.from_bytes(tile[offset : offset + size], "big")
+        survivors = mask.to_bytes(size, "big")
+        # Survivors are sparse: find skips the runs of zero bytes in C.
+        at = survivors.find(1)
+        while at >= 0:
+            yield start + at
+            at = survivors.find(1, at + 1)
+
+
+def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
+    """Every (r, n) of the window whose kernel is a square residue modulo all SIEVE_MODULI.
+
+    The sieve runs along the longer side of the window, so its fixed cost per
+    line is spread over at least as many cases as there are lines.
+    """
+    if n_hi - n_lo >= r_hi - r_lo:
+        for r in range(r_lo, r_hi + 1):
+            rows = [table[r % m * m : r % m * m + m] for m, table in _KERNEL_SQUARES.items()]
+            for n in _sieve(n_lo, n_hi, rows):
+                yield r, n
+    else:
+        for n in range(n_lo, n_hi + 1):
+            columns = [table[n % m :: m] for m, table in _KERNEL_SQUARES.items()]
+            for r in _sieve(r_lo, r_hi, columns):
+                yield r, n
 
 
 def search_hits(
@@ -158,25 +234,27 @@ def search_hits(
         raise DomainError("need 3 <= n_lo <= n_hi")
 
     hits = []
-    for r in range(r_lo, r_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            kern = (2 * n * n - 1) * (r * r + 1) + 2 * r
-            root = math.isqrt(kern)
-            if root * root != kern:
-                continue
-            found = solve_k0(r, 1, n)
-            # Every closed-form root that is an integer in (1, n) must be found.
-            # Explicit raises, not asserts, so that python -O keeps the checks.
-            for candidate in k0_closed_form(r, n):
-                if candidate.denominator == 1 and 1 < candidate < n and candidate not in found:
-                    raise AssertionError(f"root {candidate} lost at r={r}, n={n}")
-            if not found:
-                continue
-            n_reg = is_regular(n) is not None
-            if regular_only and not (n_reg and is_regular(r) is not None):
-                continue
-            for k0 in found:
-                if not verify_split(Trapezoid(r, 1, 1), n, k0):
-                    raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
-                hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))
+    for r, n in _candidates(r_lo, r_hi, n_lo, n_hi):
+        kern = (2 * n * n - 1) * (r * r + 1) + 2 * r
+        root = math.isqrt(kern)
+        if root * root != kern:
+            continue
+        found = solve_k0(r, 1, n)
+        # Every closed-form root that is an integer in (1, n) must be found.
+        # Explicit raises, not asserts, so that python -O keeps the checks.
+        for candidate in k0_closed_form(r, n):
+            if candidate.denominator == 1 and 1 < candidate < n and candidate not in found:
+                raise AssertionError(f"root {candidate} lost at r={r}, n={n}")
+        if not found:
+            continue
+        n_reg = is_regular(n) is not None
+        if regular_only and not (n_reg and is_regular(r) is not None):
+            continue
+        for k0 in found:
+            if not verify_split(Trapezoid(r, 1, 1), n, k0):
+                raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
+            hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))
+    # Sieved along n the hits come in (r, n) order already; along r they do not.
+    # The sort is stable, so the k0 of one (r, n) stay ascending.
+    hits.sort(key=lambda hit: (hit.r, hit.n))
     return hits

@@ -1,8 +1,10 @@
 """Tests for the wall quadratic, discriminant kernel and the (r, n) search."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 
 import trapwall
 from trapwall.errors import DomainError, IrrationalRootsError
-from trapwall.geometry import Trapezoid
+from trapwall.geometry import Trapezoid, transversal_at
+from trapwall.sexagesimal import is_regular
 from trapwall.wall_solver import (
+    SIEVE_BLOCK,
+    SIEVE_MODULI,
     SearchHit,
     discriminant,
     discriminant_kernel,
@@ -41,7 +46,38 @@ TABLE1 = [
     (18, 89, 28),
 ]
 
+# The criterion-2 hits with r > 133 (README).
+BEYOND_133 = [(148, 273, 81), (157, 39, 12), (172, 555, 164), (173, 314, 93), (211, 175, 52)]
+
 widths = st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60)
+
+
+def plain_scan(r_lo, r_hi, n_lo, n_hi, regular_only=False):
+    """search_hits without the residue sieve: an isqrt test on every (r, n), then solve_k0."""
+    hits = []
+    for r in range(r_lo, r_hi + 1):
+        for n in range(n_lo, n_hi + 1):
+            kern = (2 * n * n - 1) * (r * r + 1) + 2 * r
+            root = math.isqrt(kern)
+            if root * root != kern:
+                continue
+            n_reg = is_regular(n) is not None
+            if regular_only and not (n_reg and is_regular(r) is not None):
+                continue
+            hits.extend(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg) for k0 in solve_k0(r, 1, n))
+    return hits
+
+
+def fraction_verify_split(trap, n, k0):
+    """The Fraction strip-area oracle that verify_split's integer walk replaced."""
+
+    def strip(i):
+        widths = transversal_at(trap, i - 1, n) + transversal_at(trap, i, n)
+        return widths / 2 * trap.height / n
+
+    left = sum(strip(i) for i in range(1, k0))
+    right = sum(strip(i) for i in range(k0 + 1, n + 1))
+    return left == right
 
 
 def test_wall_quadratic_coefficients():
@@ -173,6 +209,97 @@ def test_search_hits_catches_a_lost_root_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.splitlines() == ["root 16 lost at r=2, n=37"]
+
+
+@pytest.mark.parametrize(
+    "window, regular_only, count",
+    [
+        ((2, 211, 3, 1000), False, 37),
+        ((2, 45, 3, 30000), False, 49),
+        ((2, 60, 3, 1000), True, 3),
+        # Wider in r than in n, so sieved along r: the hits must still come in (r, n) order.
+        ((2, 9000, 3, 20), False, 6),
+        ((2, 2000, 3, 60), False, 13),
+        ((2, 5000, 3, 40), True, 3),
+        ((2, 2, 3, 3), False, 0),
+        ((5, 5, 10, 10), False, 1),
+    ],
+)
+def test_sieve_loses_no_case(window, regular_only, count):
+    hits = search_hits(*window, regular_only=regular_only)
+    assert hits == plain_scan(*window, regular_only=regular_only)
+    assert len(hits) == count
+
+
+def test_sieve_loses_no_case_at_any_offset():
+    # n_lo takes every residue mod 64 (and each starts the blocks elsewhere
+    # modulo the other moduli); every window crosses two block boundaries,
+    # and (23, 4103, 1254) falls on either side of the first one.
+    assert max(SIEVE_MODULI) < SIEVE_BLOCK
+    reference = plain_scan(2, 23, 3, 66 + 2 * SIEVE_BLOCK)
+    for n_lo in range(3, 67):
+        n_hi = n_lo + 2 * SIEVE_BLOCK
+        expected = [hit for hit in reference if n_lo <= hit.n <= n_hi]
+        assert SearchHit(r=23, n=4103, k0=1254, n_regular=False) in expected
+        assert search_hits(2, 23, n_lo, n_hi) == expected
+
+
+def test_sieve_along_r_loses_no_case_at_any_offset():
+    # The same along r: 11 strip counts against 8,193 ratios, r_lo at every
+    # residue mod 64, and (5869, 326, 96) on either side of the first boundary.
+    reference = plain_scan(1742, 1805 + 2 * SIEVE_BLOCK, 320, 330)
+    for r_lo in range(1742, 1806):
+        r_hi = r_lo + 2 * SIEVE_BLOCK
+        expected = [hit for hit in reference if r_lo <= hit.r <= r_hi]
+        assert SearchHit(r=5869, n=326, k0=96, n_regular=False) in expected
+        assert search_hits(r_lo, r_hi, 320, 330) == expected
+
+
+@pytest.mark.parametrize(
+    "window, expected",
+    [
+        ((3, 3, 3, 300_000), [(3, 17, 7), (3, 305, 117), (3, 5473, 2091), (3, 98209, 37513)]),
+        ((2, 300_000, 17, 17), [(3, 17, 7)]),
+    ],
+)
+def test_sieve_memory_does_not_grow_with_the_range(window, expected):
+    # 300,000 values are about 73 blocks; one mask over the whole range
+    # would take more than 290 KiB on its own.
+    tracemalloc.start()
+    try:
+        hits = search_hits(*window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(h.r, h.n, h.k0) for h in hits] == expected
+    assert peak < 256 * 1024
+
+
+@given(widths, widths, widths, st.integers(min_value=3, max_value=40))
+@settings(max_examples=100)
+def test_integer_oracle_matches_fraction_oracle(lower, delta, height, n):
+    trap = Trapezoid(lower + delta, lower, height)
+    for k0 in range(2, n):
+        assert verify_split(trap, n, k0) == fraction_verify_split(trap, n, k0)
+
+
+@pytest.mark.parametrize(
+    "scale, height", [(1, 1), (Fraction(1, 7), Fraction(3, 11)), (Fraction(13, 60), 45)]
+)
+def test_integer_oracle_matches_fraction_oracle_on_hits(scale, height):
+    for r, n, k0 in [hit for hit in TABLE1 if hit[1] <= 65]:
+        trap = Trapezoid(r * scale, scale, height)
+        verdicts = [verify_split(trap, n, k) for k in range(2, n)]
+        assert verdicts == [fraction_verify_split(trap, n, k) for k in range(2, n)]
+        assert [k for k, ok in zip(range(2, n), verdicts) if ok] == [k0]
+
+
+@pytest.mark.parametrize("r, n, k0", BEYOND_133)
+def test_integer_oracle_on_hits_beyond_133(r, n, k0):
+    trap = Trapezoid(r, 1, 1)
+    assert verify_split(trap, n, k0)
+    assert not verify_split(trap, n, k0 - 1)
+    assert not verify_split(trap, n, k0 + 1)
 
 
 def test_search_hits_regular_only():
