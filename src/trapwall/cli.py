@@ -1,7 +1,8 @@
 """Command line front end: convert numerals, compute bisectors, run the searches.
 
 Exit codes: 0 success, 1 clean no-solution, 2 input syntax, 3 representation
-failure (value has no exact base-60 form), 4 domain violation.
+failure (value has no exact base-60 form), 4 domain violation, 141 (128 +
+SIGPIPE) the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ EXIT_NO_SOLUTION = 1
 EXIT_SYNTAX = 2
 EXIT_REPRESENTATION = 3
 EXIT_DOMAIN = 4
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process that signal killed
 
 MAX_EXACT_PLACES = 20
 DEFAULT_PLACES = 5
@@ -289,6 +292,7 @@ _COMMANDS = (
     ("search", "scan ratios and strip counts", cmd_search, ("r_lo", "r_hi", "n_lo", "n_hi")),
     ("smt26", "replay the tablet's computations", cmd_smt26, ()),
 )
+_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
 _NUMERAL_COMMANDS = {"convert", "bisect", "strips", "wall"}
 _EXIT_CODES = {
     ParseError: EXIT_SYNTAX,
@@ -298,33 +302,45 @@ _EXIT_CODES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("table", "jsonl"), default="table")
-    numerals = argparse.ArgumentParser(add_help=False)
-    numerals.add_argument("--numeral", choices=("sex", "rat", "dec"), default="sex")
-    numerals.add_argument("--places", type=_places_flag, default=None)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The trapwall parser; given a command's name, only that subcommand is added.
 
+    An argv that starts with the name parses the same with either; building
+    one subcommand costs about a third of building all six.
+    """
     parser = argparse.ArgumentParser(
         prog="trapwall",
         description="Exact trapezoid bisection by transversal strips, in base 60.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A usage line printed after the command ("convert 5/3 extra") lists every
+    # command, also when only one is built.
+    metavar = None if command is None else "{%s}" % ",".join(_COMMAND_NAMES)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, handler, positionals in _COMMANDS:
-        parents = [output, numerals] if name in _NUMERAL_COMMANDS else [output]
-        p = sub.add_parser(name, parents=parents, help=help_text)
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         # A private argparse attribute, pinned by tests: "-5/13" and "-1;40" are values.
         p._negative_number_matcher = _NEGATIVE_RE
+        p.add_argument("--format", choices=("table", "jsonl"), default="table")
+        if name in _NUMERAL_COMMANDS:
+            p.add_argument("--numeral", choices=("sex", "rat", "dec"), default="sex")
+            p.add_argument("--places", type=_places_flag, default=None)
         for arg in positionals:
             p.add_argument(arg, type=int if arg in _INTEGER_ARGS else None)
         p.set_defaults(handler=handler)
-    sub.choices["search"].add_argument("--regular-only", action="store_true")
-    sub.choices["smt26"].add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
+        if name == "search":
+            p.add_argument("--regular-only", action="store_true")
+        elif name == "smt26":
+            p.add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only help and errors before the command's name need every subcommand.
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     # search and smt26 print no computed values, so they take neither --numeral nor --places.
     places = getattr(args, "places", None)
     cfg = OutputConfig(
@@ -341,4 +357,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`trapwall strips ... | head -1`). Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

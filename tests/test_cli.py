@@ -4,14 +4,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapwall import geometry
-from trapwall.cli import main
+import trapwall
+from trapwall import cli, geometry
+from trapwall.cli import build_parser, main
 from trapwall.party_wall import plan_wall
 from trapwall.wall_solver import solve_k0
 
@@ -332,6 +337,105 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def package_env():
+    """The environment for a fresh interpreter that imports this trapwall."""
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_broken_pipe_exits_141_without_traceback():
+    # `trapwall strips 5/3 1/3 1 20000 | head -1`: the output far exceeds a
+    # pipe's buffer, so the command is still writing when its reader leaves.
+    argv = [sys.executable, "-m", "trapwall", "strips", "5/3", "1/3", "1", "20000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert first == b"k\td\tS\tS'\n"
+    assert (proc.returncode, err) == (141, b"")
+
+
+# --- one subcommand per parser ---------------------------------------------
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), which may exit through argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["convert", "bisect", "strips", "wall", "search", "smt26"]
+WALL_ARGS = ["1;40", "0;20", "1", "10"]
+PARSE_CASES = (
+    [[], ["-h"], ["frobnicate"], ["--bogus", "convert"], ["--", "convert", "5/3"]]
+    + [[command, "-h"] for command in COMMANDS]
+    + [[command] for command in COMMANDS if command != "smt26"]  # missing positionals
+    + [[command, "--bogus"] for command in COMMANDS]
+    + [
+        ["convert", "5/3", "extra"],  # a top-level usage line after the command
+        ["smt26", "--places", "2"],
+        ["convert", "5/3", "--places", "21"],
+        ["convert", "-5/13", "--places", "3", "--numeral", "dec"],
+        ["bisect", "1;40", "0;20", "--format", "jsonl"],
+        ["strips", *WALL_ARGS, "--numeral", "rat"],
+        ["wall", *WALL_ARGS, "--format", "jsonl"],
+        ["search", "2", "20", "3", "30", "--regular-only"],
+        ["smt26", "--part", "obverse1"],
+    ]
+)
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_one_subcommand_parses_as_all_six_do(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)  # help and usage wrap at this width
+    one = outcome(argv)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser())
+    assert outcome(argv) == one
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+
+
+# Calls that differ from their predecessor in a flag, a default or an exit.
+CALL_SEQUENCES = [
+    [["convert", "5/13", "--places", "3"], ["convert", "5/13"]],
+    [["search", "2", "20", "3", "30", "--regular-only"], ["search", "2", "20", "3", "30"]],
+    [["convert", "5/3", "--places", "21"], ["convert", "5/3"]],
+    [["strips", *WALL_ARGS], ["wall", *WALL_ARGS]],
+    [["strips", *WALL_ARGS, "--format", "jsonl"], ["wall", *WALL_ARGS, "--format", "jsonl"]],
+]
+
+
+def test_successive_calls_print_what_lone_calls_print():
+    calls = [argv for sequence in CALL_SEQUENCES for argv in sequence]
+    lone = {tuple(argv): outcome(argv) for argv in reversed(calls)}
+    for argv in calls:
+        assert outcome(argv) == lone[tuple(argv)], argv
+
+
+def test_importing_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+        "import trapwall.cli\n"
+        "print(len(built))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=package_env(), check=True,
+    )
+    assert run.stdout == "0\n"
 
 
 # --- differential property: printed base-60 values against the library -----
