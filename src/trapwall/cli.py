@@ -25,6 +25,8 @@ from .errors import (
 )
 from .party_wall import PartyWallPlan, TraceStep
 from .sexagesimal import (
+    MAX_EXACT_PLACES,
+    check_int,
     parse_sex,
     rational_to_sex,
     sex_to_rational,
@@ -39,19 +41,21 @@ EXIT_REPRESENTATION = 3
 EXIT_DOMAIN = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process that signal killed
 
-MAX_EXACT_PLACES = 20
 DEFAULT_PLACES = 5
 
-_NUMBER_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+# Integer arguments take the ASCII digits that values do, not all that int() reads.
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER + r"\Z")
+_NUMBER_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 _NEGATIVE_RE = re.compile(r"-[0-9]")
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    format: str = "table"
-    numeral: str = "sex"
-    places: int = DEFAULT_PLACES
-    explicit_places: bool = False
+    format: str
+    numeral: str
+    places: int
+    explicit_places: bool
 
 
 def parse_value(text: str) -> Fraction:
@@ -98,7 +102,7 @@ def render(x: Fraction, cfg: OutputConfig) -> str:
         return str(x)
     if cfg.numeral == "dec":
         return f"{_decimal_str(x, cfg.places)} (approx)"
-    # No exact form within 20 places means no exact truncation to cfg.places <= 20.
+    # No exact form within MAX_EXACT_PLACES means none within cfg.places <= MAX_EXACT_PLACES.
     text = _exact_sex(x)
     return text if text is not None else f"{truncate_sex(x, cfg.places)[0]} (truncated)"
 
@@ -106,10 +110,6 @@ def render(x: Fraction, cfg: OutputConfig) -> str:
 def value_record(x: Fraction) -> dict:
     """The JSON shape for one exact value: rational always, base-60 when it exists."""
     return {"rational": str(x), "sexagesimal": _exact_sex(x)}
-
-
-def _emit(record: dict) -> None:
-    print(json.dumps(record))
 
 
 def cmd_convert(args: argparse.Namespace, cfg: OutputConfig) -> int:
@@ -123,7 +123,8 @@ def cmd_convert(args: argparse.Namespace, cfg: OutputConfig) -> int:
     if truncated:
         sex_text = str(truncate_sex(value, cfg.places)[0])
     if cfg.format == "jsonl":
-        _emit({"rational": str(value), "sexagesimal": sex_text, "truncated": truncated})
+        record = {"rational": str(value), "sexagesimal": sex_text, "truncated": truncated}
+        print(json.dumps(record))
     elif cfg.numeral == "sex":
         print(f"{sex_text} (truncated)" if truncated else sex_text)
     else:
@@ -136,15 +137,14 @@ def cmd_bisect(args: argparse.Namespace, cfg: OutputConfig) -> int:
     lower = parse_value(args.lower)
     result = geometry.transversal_bisector(upper, lower)
     if cfg.format == "jsonl":
-        _emit(
-            {
-                "d_sq": value_record(result.value_sq),
-                "d": value_record(result.exact_root) if result.exact_root is not None else None,
-                "d_truncated": None
-                if result.exact_root is not None
-                else str(sqrt_sex(result.value_sq, cfg.places)),
-            }
-        )
+        record = {
+            "d_sq": value_record(result.value_sq),
+            "d": value_record(result.exact_root) if result.exact_root is not None else None,
+            "d_truncated": None
+            if result.exact_root is not None
+            else str(sqrt_sex(result.value_sq, cfg.places)),
+        }
+        print(json.dumps(record))
         return EXIT_OK
     print(f"d^2 = {render(result.value_sq, cfg)}")
     if result.exact_root is not None:
@@ -163,8 +163,7 @@ def cmd_strips(args: argparse.Namespace, cfg: OutputConfig) -> int:
         parse_value(args.upper), parse_value(args.lower), parse_value(args.height)
     )
     n = args.n
-    if n < 1:
-        raise DomainError(f"strip count must be >= 1, got {n}")
+    check_int(n, "strip count", 1)
     if cfg.format != "jsonl":
         print("k\td\tS\tS'")
     for k in range(n + 1):
@@ -172,14 +171,13 @@ def cmd_strips(args: argparse.Namespace, cfg: OutputConfig) -> int:
         left = geometry.cumulative_area(trap, k, n)
         right = geometry.complement_area(trap, k, n)
         if cfg.format == "jsonl":
-            _emit(
-                {
-                    "k": k,
-                    "d": value_record(d),
-                    "S": value_record(left),
-                    "S_prime": value_record(right),
-                }
-            )
+            record = {
+                "k": k,
+                "d": value_record(d),
+                "S": value_record(left),
+                "S_prime": value_record(right),
+            }
+            print(json.dumps(record))
         else:
             print(f"{k}\t{render(d, cfg)}\t{render(left, cfg)}\t{render(right, cfg)}")
     return EXIT_OK
@@ -217,7 +215,7 @@ def cmd_wall(args: argparse.Namespace, cfg: OutputConfig) -> int:
         if cfg.format == "jsonl":
             record = {"k0": k0}
             record.update(plan_record(plan))
-            _emit(record)
+            print(json.dumps(record))
         else:
             print(f"k0 = {k0}")
             for key, attr in _PLAN_KEYS:
@@ -232,8 +230,9 @@ def cmd_search(args: argparse.Namespace, cfg: OutputConfig) -> int:
     cases = (args.r_hi - args.r_lo + 1) * (args.n_hi - args.n_lo + 1)
     if cfg.format == "jsonl":
         for hit in hits:
-            _emit({"r": hit.r, "n": hit.n, "k0": hit.k0, "n_regular": hit.n_regular})
-        _emit({"cases": cases, "hits": len(hits)})
+            record = {"r": hit.r, "n": hit.n, "k0": hit.k0, "n_regular": hit.n_regular}
+            print(json.dumps(record))
+        print(json.dumps({"cases": cases, "hits": len(hits)}))
     else:
         print("r\tn\tk0\tn_regular")
         for hit in hits:
@@ -255,9 +254,7 @@ def _step_record(step: TraceStep) -> dict:
 def cmd_smt26(args: argparse.Namespace, cfg: OutputConfig) -> int:
     if args.part == "reverse":
         steps = party_wall.scribe_trace_smt26()
-        plan = party_wall.plan_wall(
-            geometry.Trapezoid(Fraction(5, 3), Fraction(1, 3), 1), 10, 4
-        )
+        plan = party_wall.plan_wall(*party_wall.SMT26_WALL)
         total = plan.left_area + plan.wall_area + plan.right_area
         sex = rational_to_sex(total, MAX_EXACT_PLACES)
         steps.append(TraceStep("check", "S_left + S_wall + S_right", total, sex))
@@ -265,20 +262,28 @@ def cmd_smt26(args: argparse.Namespace, cfg: OutputConfig) -> int:
         steps = party_wall.scribe_trace_obverse1()
     for step in steps:
         if cfg.format == "jsonl":
-            _emit(_step_record(step))
+            print(json.dumps(_step_record(step)))
         else:
             suffix = " (truncated)" if step.truncated else ""
             print(f"{step.label}\t{step.description}\t{step.sex}{suffix}")
     return EXIT_OK
 
 
+def _integer(text: str, refusal: str = "invalid int value:") -> int:
+    """text as an int if it is ASCII digits with an optional sign, else the refusal.
+
+    The default refusal is argparse's own text for a value that type=int refuses.
+    """
+    digits = text.strip()
+    if not _INTEGER_RE.match(digits):
+        raise argparse.ArgumentTypeError(f"{refusal} {text!r}")
+    return int(digits)
+
+
 def _places_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid places {text!r}")
+    value = _integer(text, "invalid places")
     if not 0 <= value <= MAX_EXACT_PLACES:
-        raise argparse.ArgumentTypeError("places must be in 0..20")
+        raise argparse.ArgumentTypeError(f"places must be in 0..{MAX_EXACT_PLACES}")
     return value
 
 
@@ -324,11 +329,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p._negative_number_matcher = _NEGATIVE_RE
         p.add_argument("--format", choices=("table", "jsonl"), default="table")
         if name in _NUMERAL_COMMANDS:
-            p.add_argument("--numeral", choices=("sex", "rat", "dec"), default="sex")
-            p.add_argument("--places", type=_places_flag, default=None)
+            p.add_argument("--numeral", choices=("sex", "rat", "dec"))
+            p.add_argument("--places", type=_places_flag)
         for arg in positionals:
-            p.add_argument(arg, type=int if arg in _INTEGER_ARGS else None)
-        p.set_defaults(handler=handler)
+            p.add_argument(arg, type=_integer if arg in _INTEGER_ARGS else None)
+        # search and smt26 print no computed values, so they take neither
+        # --numeral nor --places; every command still gets both defaults.
+        p.set_defaults(handler=handler, numeral="sex", places=None)
         if name == "search":
             p.add_argument("--regular-only", action="store_true")
         elif name == "smt26":
@@ -341,13 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     # Only help and errors before the command's name need every subcommand.
     command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
     args = build_parser(command).parse_args(argv)
-    # search and smt26 print no computed values, so they take neither --numeral nor --places.
-    places = getattr(args, "places", None)
     cfg = OutputConfig(
         format=args.format,
-        numeral=getattr(args, "numeral", OutputConfig.numeral),
-        places=places if places is not None else DEFAULT_PLACES,
-        explicit_places=places is not None,
+        numeral=args.numeral,
+        places=args.places if args.places is not None else DEFAULT_PLACES,
+        explicit_places=args.places is not None,
     )
     try:
         return args.handler(args, cfg)

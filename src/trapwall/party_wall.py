@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import geometry
 from .errors import DomainError
 from .geometry import Rational, Trapezoid
 from .sexagesimal import (
+    MAX_EXACT_PLACES,
     SexValue,
     exact_fraction,
     isqrt,
@@ -51,6 +53,11 @@ class TraceStep:
     truncated: bool = False
 
 
+# SMT No. 26's reverse problem as (trapezoid, strip count, wall index): widths
+# 1;40 and 0;20, length 1, cut into 10 strips with the wall at strip 4.
+SMT26_WALL = (Trapezoid(Fraction(5, 3), Fraction(1, 3), 1), 10, 4)
+
+
 def wall_offset(trap: Trapezoid, thickness: Rational) -> Fraction:
     """Difference between the two wall edges: thickness * (upper - lower) / height."""
     h0 = exact_fraction(thickness, "wall thickness")
@@ -84,66 +91,57 @@ def plan_wall(trap: Trapezoid, n: int, k0: int) -> PartyWallPlan:
     )
 
 
-def _step(label: str, description: str, value: Fraction, truncated: bool = False) -> TraceStep:
-    return TraceStep(label, description, value, rational_to_sex(value, 20), truncated)
+def _step(
+    steps: list[TraceStep], label: str, what: str, value: Fraction, truncated: bool = False
+) -> Fraction:
+    """Append a computed value to the trace, with its exact base-60 text, and return it."""
+    sex = rational_to_sex(value, MAX_EXACT_PLACES)
+    steps.append(TraceStep(label, what, value, sex, truncated))
+    return value
 
 
 def scribe_trace_smt26() -> list[TraceStep]:
-    """The reverse-side party-wall computation: widths 1;40 and 0;20, length 1,
-    wall thickness 0;6 (so 10 strips, wall at strip 4)."""
-    upper = Fraction(5, 3)
-    lower = Fraction(1, 3)
-    thickness = Fraction(1, 10)
-    left_height = Fraction(3, 10)
-    right_height = Fraction(3, 5)
+    """The reverse-side party-wall computation on SMT26_WALL: wall thickness 0;6."""
+    trap, n, k0 = SMT26_WALL
+    plan = plan_wall(trap, n, k0)
+    upper, lower = trap.upper, trap.lower
+    # The wall's thickness and the heights left and right of it, named as `wall` prints them.
+    h0, h1, h2 = plan.wall_thickness, plan.left_height, plan.right_height
+    steps: list[TraceStep] = []
+    step = partial(_step, steps)
 
-    diff = upper - lower
-    offset = diff * thickness
-    half_offset = offset / 2
-    upper_sq = upper * upper
-    lower_sq = lower * lower
-    sum_sq = upper_sq + lower_sq
-    half_sum = sum_sq / 2
+    diff = step("reverse L5", "upper width exceeds lower width", upper - lower)
+    offset = step("reverse L6", "multiply the excess by the wall thickness", diff * h0)
+    half_offset = step("reverse L6", "break it in two", offset / 2)
+    upper_sq = step("reverse L7", "square of upper width", upper * upper)
+    lower_sq = step("reverse L8", "square of lower width", lower * lower)
+    sum_sq = step("reverse L8-9", "sum of squares", upper_sq + lower_sq)
+    half_sum = step("reverse L9", "half of the sum", sum_sq / 2)
     # The scribe truncates the irrational root to one place and works with
-    # that; for this data the truncation equals the exact wall midline 6/5.
+    # that; for this data the truncation equals the exact wall midline.
     # Explicit raises, not asserts, so that python -O keeps the checks.
-    midline = sex_to_rational(sqrt_sex(half_sum, 1))
-    if midline != Fraction(6, 5):
-        raise AssertionError(f"truncated root {midline} is not the wall midline 6/5")
-    left_edge = midline + half_offset
-    right_edge = midline - half_offset
-    right_pair = right_edge + lower
-    wall_area = thickness * midline
-    right_product = right_height * right_pair
-    right_share = right_product / 2
-    left_pair = upper + left_edge
-    left_product = left_height * left_pair
-    left_share = left_product / 2
-
-    return [
-        _step("reverse L5", "upper width exceeds lower width", diff),
-        _step("reverse L6", "multiply the excess by the wall thickness", offset),
-        _step("reverse L6", "break it in two", half_offset),
-        _step("reverse L7", "square of upper width", upper_sq),
-        _step("reverse L8", "square of lower width", lower_sq),
-        _step("reverse L8-9", "sum of squares", sum_sq),
-        _step("reverse L9", "half of the sum", half_sum),
-        _step(
-            "reverse L9",
-            "square root paced off, truncated to one place",
-            midline,
-            truncated=True,
-        ),
-        _step("reverse L13", "left edge: wall width plus half the excess", left_edge),
-        _step("reverse L13", "right edge: wall width minus half the excess", right_edge),
-        _step("reverse L13", "right edge plus lower width", right_pair),
-        _step("reverse L14-15", "wall area: thickness times wall width", wall_area),
-        _step("reverse L16", "right height times the width sum", right_product),
-        _step("reverse L16", "halve it: the right share", right_share),
-        _step("reverse L17", "upper width plus left edge", left_pair),
-        _step("reverse L17", "left height times the width sum", left_product),
-        _step("reverse L17", "halve it: the left share", left_share),
-    ]
+    midline = step(
+        "reverse L9",
+        "square root paced off, truncated to one place",
+        sex_to_rational(sqrt_sex(half_sum, 1)),
+        truncated=True,
+    )
+    if midline != plan.midline:
+        raise AssertionError(f"truncated root {midline} is not the wall midline {plan.midline}")
+    left_edge = step(
+        "reverse L13", "left edge: wall width plus half the excess", midline + half_offset
+    )
+    right_edge = step(
+        "reverse L13", "right edge: wall width minus half the excess", midline - half_offset
+    )
+    right_pair = step("reverse L13", "right edge plus lower width", right_edge + lower)
+    step("reverse L14-15", "wall area: thickness times wall width", h0 * midline)
+    right_product = step("reverse L16", "right height times the width sum", h2 * right_pair)
+    step("reverse L16", "halve it: the right share", right_product / 2)
+    left_pair = step("reverse L17", "upper width plus left edge", upper + left_edge)
+    left_product = step("reverse L17", "left height times the width sum", h1 * left_pair)
+    step("reverse L17", "halve it: the left share", left_product / 2)
+    return steps
 
 
 def scribe_trace_obverse1() -> list[TraceStep]:
@@ -153,26 +151,18 @@ def scribe_trace_obverse1() -> list[TraceStep]:
     lower = Fraction(30)
     height = Fraction(225)
     upper_area = Fraction(16200)
+    steps: list[TraceStep] = []
+    step = partial(_step, steps)
 
-    diff = upper - lower
-    recip = reciprocal_regular(int(height))
-    ratio = recip * diff
-    doubled = 2 * ratio
-    scaled = doubled * upper_area
-    upper_sq = upper * upper
-    remainder = upper_sq - scaled
+    diff = step("obverse L2", "upper width exceeds lower width", upper - lower)
+    recip = step("obverse L3", "reciprocal of the length", reciprocal_regular(int(height)))
+    ratio = step("obverse L3", "multiply by the excess", recip * diff)
+    doubled = step("obverse L4", "double it", 2 * ratio)
+    scaled = step("obverse L4", "multiply by the given upper area", doubled * upper_area)
+    upper_sq = step("obverse L5", "square of upper width", upper * upper)
+    remainder = step("obverse L6", "subtract", upper_sq - scaled)
     root_int, perfect = isqrt(int(remainder))
     if remainder.denominator != 1 or not perfect:
         raise AssertionError(f"{remainder} is not the square of an integer")
-    root = Fraction(root_int)
-
-    return [
-        _step("obverse L2", "upper width exceeds lower width", diff),
-        _step("obverse L3", "reciprocal of the length", recip),
-        _step("obverse L3", "multiply by the excess", ratio),
-        _step("obverse L4", "double it", doubled),
-        _step("obverse L4", "multiply by the given upper area", scaled),
-        _step("obverse L5", "square of upper width", upper_sq),
-        _step("obverse L6", "subtract", remainder),
-        _step("obverse L6", "square root", root),
-    ]
+    step("obverse L6", "square root", Fraction(root_int))
+    return steps

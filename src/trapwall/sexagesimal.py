@@ -22,6 +22,9 @@ from .errors import (
 )
 
 BASE = 60
+# The most fractional places an exact rendering may take before the output
+# layers truncate it or refuse it.
+MAX_EXACT_PLACES = 20
 
 Rational = Fraction | int | str
 

@@ -225,13 +225,10 @@ def search_hits(
     only configurations a sexagesimal scribe could use exactly are kept:
     both the ratio and the strip count must be regular numbers.
     """
-    for name, value in (("r_lo", r_lo), ("r_hi", r_hi), ("n_lo", n_lo), ("n_hi", n_hi)):
-        if not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer")
-    if not 2 <= r_lo <= r_hi:
-        raise DomainError("need 2 <= r_lo <= r_hi")
-    if not 3 <= n_lo <= n_hi:
-        raise DomainError("need 3 <= n_lo <= n_hi")
+    check_int(r_lo, "r_lo", 2)
+    check_int(r_hi, "r_hi", r_lo)
+    check_int(n_lo, "n_lo", 3)
+    check_int(n_hi, "n_hi", n_lo)
 
     hits = []
     for r, n in _candidates(r_lo, r_hi, n_lo, n_hi):

@@ -177,7 +177,54 @@ def test_strips_midpoint(capsys):
 @pytest.mark.parametrize("n", ["-3", "0"])
 def test_strips_rejects_bad_count_before_output(capsys, n):
     code, out, err = run_cli(capsys, "strips", "1;40", "0;20", "1", n)
-    assert code == 4 and out == "" and "error" in err
+    assert (code, out, err) == (4, "", "error: strip count must be an integer >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "bounds, refusal",
+    [
+        (["1", "20", "3", "10"], "r_lo must be an integer >= 2"),
+        (["5", "2", "3", "10"], "r_hi must be an integer >= 5"),
+        (["2", "20", "2", "10"], "n_lo must be an integer >= 3"),
+        (["2", "20", "10", "3"], "n_hi must be an integer >= 10"),
+    ],
+)
+def test_search_refuses_bad_bounds_as_wall_refuses_a_bad_count(capsys, bounds, refusal):
+    code, out, err = run_cli(capsys, "search", *bounds)
+    assert (code, out, err) == (4, "", f"error: {refusal}\n")
+
+
+# Ten in Arabic-Indic and in full-width digits: int() reads both.
+ARABIC_TEN = "\u0661\u0660"
+WIDE_TEN = "\uff11\uff10"
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["strips", "5/3", "1/3", "1", "1_0"], "argument n: invalid int value: '1_0'"),
+        (["wall", "5/3", "1/3", "1", ARABIC_TEN], f"argument n: invalid int value: '{ARABIC_TEN}'"),
+        (["search", "2", "20", "3", WIDE_TEN], f"argument n_hi: invalid int value: '{WIDE_TEN}'"),
+        (["convert", "5/3", "--places", "1_0"], "argument --places: invalid places '1_0'"),
+        (["strips", "5/3", "1/3", "1", "x"], "argument n: invalid int value: 'x'"),
+        (["convert", "5/3", "--places", "x"], "argument --places: invalid places 'x'"),
+    ],
+)
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, refusal):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"trapwall {argv[0]}: error: {refusal}"
+
+
+@pytest.mark.parametrize("text", ["+10", "010", " 10 "])
+def test_integer_arguments_take_a_sign_leading_zeros_and_spaces(capsys, text):
+    expected = run_cli(capsys, "strips", "5/3", "1/3", "1", "10")
+    assert expected[0] == 0
+    assert run_cli(capsys, "strips", "5/3", "1/3", "1", text) == expected
+    expected = run_cli(capsys, "convert", "1/7", "--places", "10")
+    assert run_cli(capsys, "convert", "1/7", "--places", text) == expected
 
 
 def test_wall_smt26(capsys):

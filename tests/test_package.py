@@ -1,5 +1,7 @@
-"""Tests for the package's top-level namespace."""
+"""Tests for the package's top-level namespace and for what its source may contain."""
 
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import trapwall
@@ -66,3 +68,20 @@ def test_star_import_binds_the_public_names():
     namespace = {}
     exec("from trapwall import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+
+
+def test_library_has_no_assert_and_no_float():
+    # python -O strips assert statements, and exact arithmetic admits no float.
+    allowed_math = {"isqrt", "lcm", "gcd"}
+    for path in sorted(Path(trapwall.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not isinstance(node, ast.Assert), where
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "float", where
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert node.value.id != "math" or node.attr in allowed_math, where
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {alias.name for alias in node.names} <= allowed_math, where

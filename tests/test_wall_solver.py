@@ -20,6 +20,7 @@ from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
     SearchHit,
+    _kernel_squares,
     discriminant,
     discriminant_kernel,
     k0_closed_form,
@@ -229,6 +230,21 @@ def test_sieve_loses_no_case(window, regular_only, count):
     hits = search_hits(*window, regular_only=regular_only)
     assert hits == plain_scan(*window, regular_only=regular_only)
     assert len(hits) == count
+
+
+def test_kernel_square_tables_match_their_definition():
+    # Byte (i, j) is 1 when (2(i^2 + 1) j^2 - (i - 1)^2) mod m is a square
+    # modulo m, for every modulus, not only the ones the sieve uses.
+    for m in range(1, 200):
+        is_square = [0] * m
+        for y in range(m):
+            is_square[y * y % m] = 1
+        direct = bytes(
+            is_square[(2 * (i * i + 1) * j * j - (i - 1) ** 2) % m]
+            for i in range(m)
+            for j in range(m)
+        )
+        assert _kernel_squares(m) == direct, m
 
 
 def test_sieve_loses_no_case_at_any_offset():
