@@ -24,9 +24,14 @@ from .sexagesimal import check_int, exact_fraction, is_regular
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
 # kernel is a non-residue modulo one of these is skipped without an isqrt.
-# Each costs work per block and per line; adding 29 to 41 made no scan faster.
-SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23)
-# Values sieved at once: bounds the masks' memory, whatever the range.
+# Each costs one AND per line and at most m mask builds per block of values.
+# 29 to 41 cut the survivors of search_scan's seed-1 windows from 26,777 to
+# 2,454; 43 and 47 cut them further, but made no scan faster and raise the
+# fixed cost of a small window.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
+# Values sieved at once. A block caches at most sum(SIEVE_MODULI) masks of
+# SIEVE_BLOCK bits (400 masks, about 230 KB as Python ints) and drops them
+# before the next block, so memory does not grow with the range.
 SIEVE_BLOCK = 4096
 
 
@@ -43,14 +48,17 @@ def _kernel_squares(m: int) -> bytes:
         # extended slice is the residue flag of that kernel, for q < m. A step
         # of 0 mod m is taken as m, which lands on the same residue each time.
         step, start = 2 * (i * i + 1) % m or m, -((i - 1) ** 2) % m
-        by_q = periodic[start::step][:m]
+        by_q = periodic[start : start + step * m : step]
         rows.append(n_squares.translate(by_q.ljust(256, b"\0")))
     return b"".join(rows)
 
 
 # Row r % m is the residue pattern over n for the ratio r, and column n % m
-# the pattern over r for the strip count n: both repeat with period m.
-_KERNEL_SQUARES = {m: _kernel_squares(m) for m in SIEVE_MODULI}
+# the pattern over r for the strip count n: both repeat with period m. The
+# flags are the digits "0" and "1", so int(pattern[::-1], 2) has bit j = flag j.
+_KERNEL_SQUARES = {
+    m: _kernel_squares(m).translate(bytes.maketrans(b"\0\1", b"01")) for m in SIEVE_MODULI
+}
 
 
 @dataclass(frozen=True)
@@ -76,17 +84,29 @@ class SearchHit:
     n_regular: bool
 
 
-def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
-    """The quadratic in the wall index for a trapezoid cut into n strips."""
+def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, int, int, int]:
+    """The wall quadratic's coefficients times scale, all integers, and scale.
+
+    scale is the lcm of the widths' denominators; every coefficient is linear
+    in the widths, so clearing the widths clears the coefficients.
+    """
     a, b = check_widths(upper, lower)
     if a == b:
         raise DomainError("wall problems need upper > lower > 0")
     check_int(n, "strip count", 3)
-    return WallQuadratic(
-        lead=2 * (a - b),
-        linear=-(4 * n * a - 2 * b + 2 * a),
-        constant=n * n * (a + b) + 2 * n * a + a - b,
-    )
+    scale = math.lcm(a.denominator, b.denominator)
+    a = a.numerator * (scale // a.denominator)
+    b = b.numerator * (scale // b.denominator)
+    lead = 2 * (a - b)
+    linear = -(4 * n * a - 2 * b + 2 * a)
+    constant = n * n * (a + b) + 2 * n * a + a - b
+    return lead, linear, constant, scale
+
+
+def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
+    """The quadratic in the wall index for a trapezoid cut into n strips."""
+    lead, linear, constant, scale = _cleared_quadratic(upper, lower, n)
+    return WallQuadratic(Fraction(lead, scale), Fraction(linear, scale), Fraction(constant, scale))
 
 
 def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
@@ -140,14 +160,8 @@ def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     coefficients and integer roots are extracted by a perfect-square
     discriminant test plus divisibility, with no floating point anywhere.
     """
-    quad = wall_quadratic(upper, lower, n)
-    scale = math.lcm(
-        quad.lead.denominator, quad.linear.denominator, quad.constant.denominator
-    )
-    lead = int(quad.lead * scale)
-    linear = int(quad.linear * scale)
-    constant = int(quad.constant * scale)
-    # Positive: wall_quadratic has checked upper > lower > 0 (see discriminant).
+    lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
+    # Positive: the widths are checked to be upper > lower > 0 (see discriminant).
     disc = linear * linear - 4 * lead * constant
     root = math.isqrt(disc)
     if root * root != disc:
@@ -175,45 +189,51 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
     return left == right
 
 
-def _sieve(lo: int, hi: int, patterns: list[bytes]) -> Iterator[int]:
-    """Every x in [lo, hi] for which byte x % m of each pattern is set, m its length.
-
-    Each block of SIEVE_BLOCK values ANDs the patterns, tiled to the block, as
-    0/1 bytes in one big integer, so memory does not grow with hi - lo.
-    """
-    length = min(SIEVE_BLOCK, hi - lo + 1)
-    # At least m bytes more than a block, so a slice at any offset < m fills it.
-    tiles = [(len(pattern), pattern * (length // len(pattern) + 2)) for pattern in patterns]
-    for start in range(lo, hi + 1, SIEVE_BLOCK):
-        size = min(SIEVE_BLOCK, hi + 1 - start)
-        mask = -1
-        for m, tile in tiles:
-            offset = start % m
-            mask &= int.from_bytes(tile[offset : offset + size], "big")
-        survivors = mask.to_bytes(size, "big")
-        # Survivors are sparse: find skips the runs of zero bytes in C.
-        at = survivors.find(1)
-        while at >= 0:
-            yield start + at
-            at = survivors.find(1, at + 1)
-
-
 def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[int, int]]:
     """Every (r, n) of the window whose kernel is a square residue modulo all SIEVE_MODULI.
 
-    The sieve runs along the longer side of the window, so its fixed cost per
-    line is spread over at least as many cases as there are lines.
+    The sieve runs along the longer side of the window, in blocks of SIEVE_BLOCK
+    values; the lines across it are the values of the shorter side. A line's
+    mask for modulus m has bit i set when value start + i passes modulo m, and
+    ANDing the masks leaves the survivors. Every line of a block spans the same
+    values, so the mask for m depends only on the line modulo m: each is built
+    once per block, on first use. Blocks are the outer loop, so the candidates
+    do not come in (r, n) order.
     """
-    if n_hi - n_lo >= r_hi - r_lo:
-        for r in range(r_lo, r_hi + 1):
-            rows = [table[r % m * m : r % m * m + m] for m, table in _KERNEL_SQUARES.items()]
-            for n in _sieve(n_lo, n_hi, rows):
-                yield r, n
+    along_n = n_hi - n_lo >= r_hi - r_lo
+    if along_n:
+        lo, hi, lines = n_lo, n_hi, range(r_lo, r_hi + 1)
     else:
-        for n in range(n_lo, n_hi + 1):
-            columns = [table[n % m :: m] for m, table in _KERNEL_SQUARES.items()]
-            for r in _sieve(r_lo, r_hi, columns):
-                yield r, n
+        lo, hi, lines = r_lo, r_hi, range(n_lo, n_hi + 1)
+    # A pattern of m bits times repeat is the pattern tiled over more than
+    # length + m bits, so it still covers a block after a shift by offset < m.
+    length = min(SIEVE_BLOCK, hi - lo + 1)
+    repeats = [((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1) for m in SIEVE_MODULI]
+    for start in range(lo, hi + 1, SIEVE_BLOCK):
+        size = min(SIEVE_BLOCK, hi + 1 - start)
+        caches = [
+            (m, table, repeat, start % m, [None] * m)
+            for (m, table), repeat in zip(_KERNEL_SQUARES.items(), repeats)
+        ]
+        for line in lines:
+            mask = (1 << size) - 1
+            for m, table, repeat, offset, cache in caches:
+                c = line % m
+                part = cache[c]
+                if part is None:
+                    # Row c of the table is the pattern over n when r = c (mod m),
+                    # column c the pattern over r when n = c (mod m).
+                    pattern = table[c * m : c * m + m] if along_n else table[c::m]
+                    part = cache[c] = int(pattern[::-1], 2) * repeat >> offset
+                mask &= part
+                # An empty line needs no more masks: small windows build few.
+                if not mask:
+                    break
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                at = start + low.bit_length() - 1
+                yield (line, at) if along_n else (at, line)
 
 
 def search_hits(
@@ -251,7 +271,7 @@ def search_hits(
             if not verify_split(Trapezoid(r, 1, 1), n, k0):
                 raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
             hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))
-    # Sieved along n the hits come in (r, n) order already; along r they do not.
-    # The sort is stable, so the k0 of one (r, n) stay ascending.
+    # The sieve yields block by block, and along r in (n, r) order: the sort
+    # restores (r, n) order, and being stable keeps the k0 of one (r, n) ascending.
     hits.sort(key=lambda hit: (hit.r, hit.n))
     return hits

@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 
 import trapwall
 from trapwall.errors import DomainError, IrrationalRootsError
-from trapwall.geometry import Trapezoid, transversal_at
-from trapwall.sexagesimal import is_regular
+from trapwall.geometry import Trapezoid, check_widths, transversal_at
+from trapwall.sexagesimal import check_int, is_regular
 from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
     SearchHit,
+    WallQuadratic,
+    _candidates,
     _kernel_squares,
+    _roots_between,
     discriminant,
     discriminant_kernel,
     k0_closed_form,
@@ -67,6 +70,44 @@ def plain_scan(r_lo, r_hi, n_lo, n_hi, regular_only=False):
                 continue
             hits.extend(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg) for k0 in solve_k0(r, 1, n))
     return hits
+
+
+def fraction_wall_quadratic(upper, lower, n):
+    """wall_quadratic as it was before integer coefficients: the formula in Fractions."""
+    a, b = check_widths(upper, lower)
+    if a == b:
+        raise DomainError("wall problems need upper > lower > 0")
+    check_int(n, "strip count", 3)
+    return WallQuadratic(
+        lead=2 * (a - b),
+        linear=-(4 * n * a - 2 * b + 2 * a),
+        constant=n * n * (a + b) + 2 * n * a + a - b,
+    )
+
+
+def fraction_solve_k0(upper, lower, n):
+    """The solver that integer coefficients replaced: the Fraction quadratic, cleared by one lcm."""
+    quad = fraction_wall_quadratic(upper, lower, n)
+    scale = math.lcm(quad.lead.denominator, quad.linear.denominator, quad.constant.denominator)
+    lead = int(quad.lead * scale)
+    linear = int(quad.linear * scale)
+    constant = int(quad.constant * scale)
+    disc = linear * linear - 4 * lead * constant
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    return _roots_between(-linear, root, 2 * lead, n)
+
+
+def sieve_by_definition(r_lo, r_hi, n_lo, n_hi):
+    """The window's (r, n), in (r, n) order, whose kernel is a square modulo every sieve modulus."""
+    squares = {m: {y * y % m for y in range(m)} for m in SIEVE_MODULI}
+    return [
+        (r, n)
+        for r in range(r_lo, r_hi + 1)
+        for n in range(n_lo, n_hi + 1)
+        if all(((2 * n * n - 1) * (r * r + 1) + 2 * r) % m in squares[m] for m in SIEVE_MODULI)
+    ]
 
 
 def fraction_verify_split(trap, n, k0):
@@ -272,6 +313,41 @@ def test_sieve_along_r_loses_no_case_at_any_offset():
 
 
 @pytest.mark.parametrize(
+    "window",
+    [
+        # Sieved along n: 70 ratios, more than any modulus, so masks built for
+        # one ratio of a block are reused by later ones; the strip counts span
+        # two blocks.
+        (2, 71, 4000, 4000 + SIEVE_BLOCK + 99),
+        # Sieved along r: the same with 70 strip counts across two blocks of ratios.
+        (900, 900 + SIEVE_BLOCK + 99, 3, 72),
+    ],
+)
+def test_candidates_equal_their_definition(window):
+    # The hit-level tests cannot see a mask cached under the wrong residue
+    # when no hit lands on it; the candidates themselves can.
+    r_lo, r_hi, n_lo, n_hi = window
+    lines, values = sorted((r_hi - r_lo + 1, n_hi - n_lo + 1))
+    assert lines > max(SIEVE_MODULI) and values > SIEVE_BLOCK
+    assert sorted(_candidates(*window)) == sieve_by_definition(*window)
+
+
+def test_sieve_cache_memory_is_bounded():
+    # 599 ratios take every residue of every modulus, so each block of strip
+    # counts fills the whole cache: at most sum(SIEVE_MODULI) masks of
+    # SIEVE_BLOCK bits (see SIEVE_BLOCK), dropped before the next block.
+    bound = sum(SIEVE_MODULI) * SIEVE_BLOCK // 8
+    tracemalloc.start()
+    try:
+        hits = search_hits(2, 600, 3, 9000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(h.r, h.n, h.k0) for h in hits if h.r <= 20 and h.n <= 1000] == TABLE1
+    assert peak < bound + 128 * 1024
+
+
+@pytest.mark.parametrize(
     "window, expected",
     [
         ((3, 3, 3, 300_000), [(3, 17, 7), (3, 305, 117), (3, 5473, 2091), (3, 98209, 37513)]),
@@ -353,6 +429,34 @@ def test_quadratic_discriminant_consistency(lower, delta, n):
     upper = lower + delta
     quad = wall_quadratic(upper, lower, n)
     assert quad.linear**2 - 4 * quad.lead * quad.constant == discriminant(upper, lower, n)
+
+
+@given(widths, widths, st.integers(min_value=3, max_value=200))
+@settings(max_examples=300)
+def test_integer_solve_k0_matches_fraction_solver(lower, delta, n):
+    upper = lower + delta
+    assert wall_quadratic(upper, lower, n) == fraction_wall_quadratic(upper, lower, n)
+    assert solve_k0(upper, lower, n) == fraction_solve_k0(upper, lower, n)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, n",
+    [
+        (2.5, 1, 10),
+        (5, 1.0, 10),
+        (3, 3, 10),
+        (Fraction(1, 2), Fraction(1, 2), 10),
+        (5, 1, 2),
+        (5, 1, 3.0),
+    ],
+)
+def test_integer_solve_k0_refuses_as_the_fraction_solver(upper, lower, n):
+    with pytest.raises(DomainError) as fraction:
+        fraction_solve_k0(upper, lower, n)
+    for integer_path in (solve_k0, wall_quadratic):
+        with pytest.raises(DomainError) as integer:
+            integer_path(upper, lower, n)
+        assert str(integer.value) == str(fraction.value)
 
 
 @given(widths, widths, widths, st.integers(min_value=3, max_value=60))
