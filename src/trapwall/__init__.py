@@ -12,20 +12,14 @@ from .errors import (
     TrapwallError,
 )
 from .geometry import (
-    NestedRadical,
     QuadraticLength,
     Trapezoid,
     area,
     complement_area,
     cumulative_area,
-    midpoint_connector,
-    midpoint_connector_from_leg,
-    parallelogram_diagonal,
     transversal_at,
     transversal_bisector,
     transversal_given_upper_area,
-    triangle_median,
-    triangle_parallel_bisector,
 )
 from .party_wall import (
     PartyWallPlan,
@@ -33,7 +27,6 @@ from .party_wall import (
     plan_wall,
     scribe_trace_obverse1,
     scribe_trace_smt26,
-    wall_offset,
 )
 from .sexagesimal import (
     RegularFactorization,

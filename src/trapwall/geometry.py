@@ -1,9 +1,10 @@
 """Closed-form bisector lengths and strip areas for trapezoids, all exact.
 
-Lengths that are generally irrational (bisectors, medians, diagonals) are
-carried as QuadraticLength: the exact square plus the exact root when the
-square happens to be a perfect rational square. Nothing in this module is
-ever approximated; truncation to base-60 digits is the caller's business.
+Lengths that are generally irrational (the bisector and the transversal
+below a prescribed area) are carried as QuadraticLength: the exact square
+plus the exact root when the square happens to be a perfect rational square.
+Nothing in this module is ever approximated; truncation to base-60 digits is
+the caller's business.
 """
 
 from __future__ import annotations
@@ -65,15 +66,6 @@ class QuadraticLength:
         return cls(value_sq, root)
 
 
-@dataclass(frozen=True)
-class NestedRadical:
-    """outer + coefficient * sqrt(inner_sq), kept symbolic when inner_sq is not a square."""
-
-    outer: Fraction
-    coefficient: Fraction
-    inner_sq: Fraction
-
-
 def check_wall_index(trap: Trapezoid, n: int, k0: int) -> None:
     """Refuse strip k0 of n as a party wall unless upper > lower and 1 < k0 < n."""
     if trap.upper == trap.lower:
@@ -125,72 +117,3 @@ def transversal_given_upper_area(trap: Trapezoid, upper_area: Rational) -> Quadr
         raise DomainError("prescribed area must lie within [0, area]")
     d_sq = trap.upper**2 - 2 * (trap.upper - trap.lower) * s1 / trap.height
     return QuadraticLength.from_square(d_sq)
-
-
-def midpoint_connector(trap: Trapezoid) -> QuadraticLength:
-    """Segment joining the midpoints of the two widths (right-trapezoid reading).
-
-    d^2 = height^2 + ((upper - lower) / 2)^2; equal areas but height-dependent.
-    """
-    half_diff = (trap.upper - trap.lower) / 2
-    return QuadraticLength.from_square(trap.height**2 + half_diff**2)
-
-
-def midpoint_connector_from_leg(
-    upper: Rational, lower: Rational, leg: Rational
-) -> QuadraticLength:
-    """Midpoint connector from the slant leg instead of the height.
-
-    Assumes the right-trapezoid relation leg^2 = height^2 + (upper - lower)^2,
-    which forces leg^2 > (upper - lower)^2 for a positive height.
-    d^2 = leg^2 - 3 ((upper - lower) / 2)^2.
-    """
-    a, b = check_widths(upper, lower)
-    c = exact_fraction(leg, "leg")
-    if c <= 0 or c * c <= (a - b) ** 2:
-        raise DomainError("leg too short for a positive height")
-    return QuadraticLength.from_square(c * c - 3 * ((a - b) / 2) ** 2)
-
-
-def triangle_median(a: Rational, b: Rational, base: Rational) -> QuadraticLength:
-    """Median to `base` in a triangle with sides a, b, base; it halves the area.
-
-    m^2 = (2 a^2 + 2 b^2 - base^2) / 4.
-    """
-    sa = exact_fraction(a, "side a")
-    sb = exact_fraction(b, "side b")
-    sc = exact_fraction(base, "base")
-    if min(sa, sb, sc) <= 0 or sa + sb <= sc or sa + sc <= sb or sb + sc <= sa:
-        raise DomainError("sides must form a nondegenerate triangle")
-    return QuadraticLength.from_square((2 * sa**2 + 2 * sb**2 - sc**2) / 4)
-
-
-def triangle_parallel_bisector(base: Rational) -> QuadraticLength:
-    """Transversal parallel to `base` halving the triangle: d^2 = base^2 / 2."""
-    c = exact_fraction(base, "base")
-    if c <= 0:
-        raise DomainError("base must be positive")
-    return QuadraticLength.from_square(c * c / 2)
-
-
-def parallelogram_diagonal(
-    a: Rational, b: Rational, height: Rational
-) -> QuadraticLength | NestedRadical:
-    """Diagonal of a parallelogram with sides a, b and height over the b side.
-
-    D^2 = a^2 + b^2 + 2 b sqrt(a^2 - height^2). When the inner radical is not
-    a perfect rational square the nested-radical form is returned instead of
-    an approximation.
-    """
-    sa = exact_fraction(a, "side a")
-    sb = exact_fraction(b, "side b")
-    h = exact_fraction(height, "height")
-    if sb <= 0 or h <= 0:
-        raise DomainError("side b and height must be positive")
-    if h > sa:
-        raise DomainError("height cannot exceed side a")
-    inner_sq = sa * sa - h * h
-    inner = QuadraticLength.from_square(inner_sq)
-    if inner.exact_root is None:
-        return NestedRadical(outer=sa * sa + sb * sb, coefficient=2 * sb, inner_sq=inner_sq)
-    return QuadraticLength.from_square(sa * sa + sb * sb + 2 * sb * inner.exact_root)

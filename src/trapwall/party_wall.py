@@ -12,12 +12,10 @@ from fractions import Fraction
 from functools import partial
 
 from . import geometry
-from .errors import DomainError
-from .geometry import Rational, Trapezoid
+from .geometry import Trapezoid
 from .sexagesimal import (
     MAX_EXACT_PLACES,
     SexValue,
-    exact_fraction,
     isqrt,
     rational_to_sex,
     reciprocal_regular,
@@ -56,14 +54,6 @@ class TraceStep:
 # SMT No. 26's reverse problem as (trapezoid, strip count, wall index): widths
 # 1;40 and 0;20, length 1, cut into 10 strips with the wall at strip 4.
 SMT26_WALL = (Trapezoid(Fraction(5, 3), Fraction(1, 3), 1), 10, 4)
-
-
-def wall_offset(trap: Trapezoid, thickness: Rational) -> Fraction:
-    """Difference between the two wall edges: thickness * (upper - lower) / height."""
-    h0 = exact_fraction(thickness, "wall thickness")
-    if not 0 < h0 < trap.height:
-        raise DomainError("wall thickness must lie strictly between 0 and the height")
-    return h0 * (trap.upper - trap.lower) / trap.height
 
 
 def plan_wall(trap: Trapezoid, n: int, k0: int) -> PartyWallPlan:

@@ -47,21 +47,18 @@ class SexValue:
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise DomainError("sign must be +1 or -1")
         if not self.int_digits:
-            raise ValueError("integer part needs at least one digit")
+            raise DomainError("integer part needs at least one digit")
         for d in self.int_digits + self.frac_digits:
             if not isinstance(d, int) or not 0 <= d < BASE:
-                raise ValueError(f"digit out of range: {d!r}")
+                raise DomainError(f"digit out of range: {d!r}")
         if len(self.int_digits) > 1 and self.int_digits[0] == 0:
-            raise ValueError("leading zero digit in integer part")
+            raise DomainError("leading zero digit in integer part")
         if self.frac_digits and self.frac_digits[-1] == 0:
-            raise ValueError("trailing zero digit in fraction")
+            raise DomainError("trailing zero digit in fraction")
         if self.int_digits == (0,) and not self.frac_digits and self.sign != 1:
-            raise ValueError("zero must carry sign +1")
-
-    def is_zero(self) -> bool:
-        return self.int_digits == (0,) and not self.frac_digits
+            raise DomainError("zero must carry sign +1")
 
     def __str__(self) -> str:
         return format_sex(self)
@@ -179,10 +176,13 @@ def _places_needed(fact: RegularFactorization) -> int:
 
 
 def exact_fraction(value: Rational, what: str) -> Fraction:
-    """The argument as a Fraction; floats are refused because they are not exact."""
+    """The argument as a Fraction; a float is refused as inexact, bad text as a ParseError."""
     if isinstance(value, float):
         raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} is not a rational: {value!r}") from None
 
 
 def check_int(value: int, what: str, lo: int) -> None:

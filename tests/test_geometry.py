@@ -8,20 +8,14 @@ from hypothesis import strategies as st
 
 from trapwall.errors import DomainError
 from trapwall.geometry import (
-    NestedRadical,
     QuadraticLength,
     Trapezoid,
     area,
     complement_area,
     cumulative_area,
-    midpoint_connector,
-    midpoint_connector_from_leg,
-    parallelogram_diagonal,
     transversal_at,
     transversal_bisector,
     transversal_given_upper_area,
-    triangle_median,
-    triangle_parallel_bisector,
 )
 
 SMT26 = Trapezoid(Fraction(5, 3), Fraction(1, 3), 1)
@@ -116,64 +110,6 @@ def test_transversal_given_upper_area_examples():
         transversal_given_upper_area(trap, -1)
     with pytest.raises(DomainError):
         transversal_given_upper_area(trap, area(trap) + 1)
-
-
-def test_midpoint_connector_examples():
-    assert midpoint_connector(Trapezoid(4, 4, 7)).exact_root == 7
-    result = midpoint_connector(Trapezoid(5, 1, Fraction(3, 2)))
-    assert result.value_sq == Fraction(25, 4) and result.exact_root == Fraction(5, 2)
-    assert midpoint_connector(SMT26).value_sq == Fraction(13, 9)
-
-
-def test_midpoint_connector_from_leg():
-    assert midpoint_connector_from_leg(4, 4, 9).exact_root == 9
-    assert midpoint_connector_from_leg(5, 1, 5).value_sq == 13
-    with pytest.raises(DomainError):
-        midpoint_connector_from_leg(3, 1, 2)  # forces height zero
-    with pytest.raises(DomainError):
-        midpoint_connector_from_leg(1, 3, 5)
-
-
-def test_midpoint_connector_two_forms_agree():
-    # leg^2 = height^2 + (upper - lower)^2 makes both forms compute the same square.
-    for upper, lower, height in ((5, 1, 3), (7, 2, 12), (9, 9, 4)):
-        trap = Trapezoid(upper, lower, height)
-        leg_sq = Fraction(height) ** 2 + (Fraction(upper) - lower) ** 2
-        leg = QuadraticLength.from_square(leg_sq).exact_root
-        assert leg is not None
-        assert midpoint_connector_from_leg(upper, lower, leg).value_sq == midpoint_connector(
-            trap
-        ).value_sq
-
-
-def test_triangle_median_examples():
-    assert triangle_median(1, 1, 1).value_sq == Fraction(3, 4)
-    assert triangle_median(5, 5, 6).exact_root == 4
-    result = triangle_median(3, 4, 5)
-    assert result.value_sq == Fraction(25, 4) and result.exact_root == Fraction(5, 2)
-    with pytest.raises(DomainError):
-        triangle_median(1, 1, 2)
-    with pytest.raises(DomainError):
-        triangle_median(1, 1, 3)
-
-
-def test_triangle_parallel_bisector_examples():
-    assert triangle_parallel_bisector(2).value_sq == 2
-    assert triangle_parallel_bisector(10).value_sq == 50
-    result = triangle_parallel_bisector(1)
-    assert result.value_sq == Fraction(1, 2) and result.exact_root is None
-    with pytest.raises(DomainError):
-        triangle_parallel_bisector(0)
-
-
-def test_parallelogram_diagonal_examples():
-    assert parallelogram_diagonal(3, 2, 3).value_sq == 13  # rectangle
-    result = parallelogram_diagonal(5, 2, 4)
-    assert isinstance(result, QuadraticLength) and result.value_sq == 41
-    nested = parallelogram_diagonal(3, 1, 2)
-    assert nested == NestedRadical(outer=10, coefficient=2, inner_sq=5)
-    with pytest.raises(DomainError):
-        parallelogram_diagonal(1, 1, 2)
 
 
 @given(trapezoids())

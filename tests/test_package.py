@@ -14,26 +14,19 @@ PUBLIC_NAMES = [
     "ParseError",
     "PlacesExceededError",
     "TrapwallError",
-    "NestedRadical",
     "QuadraticLength",
     "Trapezoid",
     "area",
     "complement_area",
     "cumulative_area",
-    "midpoint_connector",
-    "midpoint_connector_from_leg",
-    "parallelogram_diagonal",
     "transversal_at",
     "transversal_bisector",
     "transversal_given_upper_area",
-    "triangle_median",
-    "triangle_parallel_bisector",
     "PartyWallPlan",
     "TraceStep",
     "plan_wall",
     "scribe_trace_obverse1",
     "scribe_trace_smt26",
-    "wall_offset",
     "RegularFactorization",
     "SexValue",
     "format_sex",
@@ -59,7 +52,7 @@ PUBLIC_NAMES = [
 
 def test_all_lists_the_public_names():
     assert sorted(trapwall.__all__) == sorted(PUBLIC_NAMES)
-    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 47
+    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 40
     for name in trapwall.__all__:
         assert not isinstance(getattr(trapwall, name), ModuleType)
 

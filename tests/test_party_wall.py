@@ -17,7 +17,6 @@ from trapwall.party_wall import (
     plan_wall,
     scribe_trace_obverse1,
     scribe_trace_smt26,
-    wall_offset,
 )
 from trapwall.sexagesimal import sex_to_rational
 from trapwall.wall_solver import solve_k0, verify_split
@@ -35,16 +34,6 @@ def wall_configs(draw):
     n = draw(st.integers(min_value=3, max_value=40))
     k0 = draw(st.integers(min_value=2, max_value=n - 1))
     return Trapezoid(upper, lower, height), n, k0
-
-
-def test_wall_offset_examples():
-    assert wall_offset(SMT26, Fraction(1, 10)) == Fraction(2, 15)
-    assert wall_offset(Trapezoid(4, 4, 2), 1) == 0
-    assert wall_offset(Trapezoid(130, 30, 225), Fraction(225, 10)) == 10
-    with pytest.raises(DomainError):
-        wall_offset(SMT26, 0)
-    with pytest.raises(DomainError):
-        wall_offset(SMT26, 1)
 
 
 def test_plan_wall_smt26_values():
@@ -99,7 +88,7 @@ def test_plan_invariants(config):
     assert plan.left_area + plan.wall_area + plan.right_area == area(trap)
     assert plan.midline == (plan.left_edge + plan.right_edge) / 2
     assert plan.midline == transversal_at(trap, 2 * k0 - 1, 2 * n)
-    assert plan.edge_diff == wall_offset(trap, trap.height / n)
+    assert plan.edge_diff == (trap.upper - trap.lower) / n
     assert plan.wall_area == plan.wall_thickness * plan.midline
     assert plan.left_height + plan.wall_thickness + plan.right_height == trap.height
     assert plan.left_edge == plan.midline + plan.edge_diff / 2

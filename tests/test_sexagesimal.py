@@ -13,6 +13,7 @@ from trapwall.errors import (
     ParseError,
     PlacesExceededError,
 )
+from trapwall.geometry import Trapezoid, transversal_bisector
 from trapwall.sexagesimal import (
     RegularFactorization,
     SexValue,
@@ -61,16 +62,35 @@ def test_parse_canonicalises():
 
 
 def test_noncanonical_construction_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SexValue(1, (0, 30), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SexValue(1, (1,), (30, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SexValue(-1, (0,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SexValue(1, (60,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SexValue(1, (), ())
+
+
+@pytest.mark.parametrize(
+    "fn,args,what",
+    [
+        (Trapezoid, ("x", 1, 1), "upper width"),
+        (Trapezoid, (2, 1, "1/0"), "height"),
+        (transversal_bisector, ("abc", 1), "upper width"),
+        (transversal_bisector, (2, ""), "lower width"),
+        (rational_to_sex, ("1/0", 3), "value"),
+        (truncate_sex, ("1;40", 2), "value"),
+        (sqrt_sex, ("two", 1), "value"),
+    ],
+)
+def test_malformed_text_is_a_parse_error(fn, args, what):
+    # Library functions read text as p/q or an integer; anything else must not
+    # escape as a bare ValueError or ZeroDivisionError.
+    with pytest.raises(ParseError, match=what):
+        fn(*args)
 
 
 @pytest.mark.parametrize(
