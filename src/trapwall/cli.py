@@ -254,10 +254,6 @@ def _step_record(step: TraceStep) -> dict:
 def cmd_smt26(args: argparse.Namespace, cfg: OutputConfig) -> int:
     if args.part == "reverse":
         steps = party_wall.scribe_trace_smt26()
-        plan = party_wall.plan_wall(*party_wall.SMT26_WALL)
-        total = plan.left_area + plan.wall_area + plan.right_area
-        sex = rational_to_sex(total, MAX_EXACT_PLACES)
-        steps.append(TraceStep("check", "S_left + S_wall + S_right", total, sex))
     else:
         steps = party_wall.scribe_trace_obverse1()
     for step in steps:
@@ -289,15 +285,15 @@ def _places_flag(text: str) -> int:
 
 _TRAPEZOID_ARGS = ("upper", "lower", "height", "n")
 _INTEGER_ARGS = {"n", "r_lo", "r_hi", "n_lo", "n_hi"}
-_COMMANDS = (
-    ("convert", "convert between numeral systems", cmd_convert, ("value",)),
-    ("bisect", "transversal bisector of a trapezoid", cmd_bisect, ("upper", "lower")),
-    ("strips", "transversals and strip areas", cmd_strips, _TRAPEZOID_ARGS),
-    ("wall", "solve for a bisecting party wall", cmd_wall, _TRAPEZOID_ARGS),
-    ("search", "scan ratios and strip counts", cmd_search, ("r_lo", "r_hi", "n_lo", "n_hi")),
-    ("smt26", "replay the tablet's computations", cmd_smt26, ()),
-)
-_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+# Each command's name, help line, handler and positional arguments.
+_COMMANDS = {
+    "convert": ("convert between numeral systems", cmd_convert, ("value",)),
+    "bisect": ("transversal bisector of a trapezoid", cmd_bisect, ("upper", "lower")),
+    "strips": ("transversals and strip areas", cmd_strips, _TRAPEZOID_ARGS),
+    "wall": ("solve for a bisecting party wall", cmd_wall, _TRAPEZOID_ARGS),
+    "search": ("scan ratios and strip counts", cmd_search, ("r_lo", "r_hi", "n_lo", "n_hi")),
+    "smt26": ("replay the tablet's computations", cmd_smt26, ()),
+}
 _NUMERAL_COMMANDS = {"convert", "bisect", "strips", "wall"}
 _EXIT_CODES = {
     ParseError: EXIT_SYNTAX,
@@ -307,47 +303,50 @@ _EXIT_CODES = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The trapwall parser; given a command's name, only that subcommand is added.
+def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Give p the options, positionals and defaults of the command `name`."""
+    _, handler, positionals = _COMMANDS[name]
+    # A private argparse attribute, pinned by tests: "-5/13" and "-1;40" are values.
+    p._negative_number_matcher = _NEGATIVE_RE
+    p.add_argument("--format", choices=("table", "jsonl"), default="table")
+    if name in _NUMERAL_COMMANDS:
+        p.add_argument("--numeral", choices=("sex", "rat", "dec"))
+        p.add_argument("--places", type=_places_flag)
+    for arg in positionals:
+        p.add_argument(arg, type=_integer if arg in _INTEGER_ARGS else None)
+    # search and smt26 print no computed values, so they take neither
+    # --numeral nor --places; every command still gets both defaults.
+    p.set_defaults(handler=handler, numeral="sex", places=None)
+    if name == "search":
+        p.add_argument("--regular-only", action="store_true")
+    elif name == "smt26":
+        p.add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
 
-    An argv that starts with the name parses the same with either; building
-    one subcommand costs about a third of building all six.
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the arguments after a command's name, or without one, of all six.
+
+    The command's own parser is the subparser that the full parser would
+    use, as a parser of its own (prog "trapwall <command>"): it parses and
+    refuses what follows the name as the full parser does, except that it
+    leaves unknown arguments over where the full parser refuses them.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"trapwall {command}")
+        _add_command_arguments(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="trapwall",
         description="Exact trapezoid bisection by transversal strips, in base 60.",
     )
-    # A usage line printed after the command ("convert 5/3 extra") lists every
-    # command, also when only one is built.
-    metavar = None if command is None else "{%s}" % ",".join(_COMMAND_NAMES)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, handler, positionals in _COMMANDS:
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        # A private argparse attribute, pinned by tests: "-5/13" and "-1;40" are values.
-        p._negative_number_matcher = _NEGATIVE_RE
-        p.add_argument("--format", choices=("table", "jsonl"), default="table")
-        if name in _NUMERAL_COMMANDS:
-            p.add_argument("--numeral", choices=("sex", "rat", "dec"))
-            p.add_argument("--places", type=_places_flag)
-        for arg in positionals:
-            p.add_argument(arg, type=_integer if arg in _INTEGER_ARGS else None)
-        # search and smt26 print no computed values, so they take neither
-        # --numeral nor --places; every command still gets both defaults.
-        p.set_defaults(handler=handler, numeral="sex", places=None)
-        if name == "search":
-            p.add_argument("--regular-only", action="store_true")
-        elif name == "smt26":
-            p.add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only help and errors before the command's name need every subcommand.
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command and map a refused input to its exit code."""
     cfg = OutputConfig(
         format=args.format,
         numeral=args.numeral,
@@ -359,6 +358,18 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = extras = None
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
+        # Help and errors before a command name, and arguments the command
+        # leaves over, get the full parser's usage line and messages.
+        args = build_parser().parse_args(argv)
+    return _dispatch(args)
 
 
 def run() -> None:

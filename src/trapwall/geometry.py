@@ -88,23 +88,45 @@ def transversal_bisector(upper: Rational, lower: Rational) -> QuadraticLength:
     return QuadraticLength.from_square((a * a + b * b) / 2)
 
 
+def _common_widths(trap: Trapezoid) -> tuple[int, int, int]:
+    """Integers A, B and D with upper = A/D and lower = B/D."""
+    a, b = trap.upper, trap.lower
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+
+
 def transversal_at(trap: Trapezoid, k: int, n: int) -> Fraction:
-    """Width of the k-th of n equally spaced transversals: linear interpolation."""
+    """Width of the k-th of n equally spaced transversals, ((n-k) a + k b) / n.
+
+    Like the two strip areas below, it is one exact quotient of integers.
+    """
     _index_pair(k, n)
-    t = Fraction(k, n)
-    return (1 - t) * trap.upper + t * trap.lower
+    big, small, den = _common_widths(trap)
+    return Fraction((n - k) * big + k * small, n * den)
 
 
 def cumulative_area(trap: Trapezoid, k: int, n: int) -> Fraction:
-    """Total area of the first k of n equal-height strips (from the wide end)."""
+    """Total area of the first k of n equal-height strips (from the wide end).
+
+    h k ((2n-k) a + k b) / (2n^2), as one exact quotient of integers.
+    """
     _index_pair(k, n)
-    t = Fraction(k, n)
-    return (t * trap.height / 2) * ((2 - t) * trap.upper + t * trap.lower)
+    big, small, den = _common_widths(trap)
+    h = trap.height
+    cut = k * ((2 * n - k) * big + k * small)
+    return Fraction(h.numerator * cut, 2 * n * n * den * h.denominator)
 
 
 def complement_area(trap: Trapezoid, k: int, n: int) -> Fraction:
-    """Area right of the k-th transversal: whole area minus cumulative_area."""
-    return area(trap) - cumulative_area(trap, k, n)
+    """Area right of the k-th of n transversals, to the narrow end.
+
+    h (n^2 (a+b) - k ((2n-k) a + k b)) / (2n^2), as one exact quotient of
+    integers, computed apart from cumulative_area so that their sum checks both.
+    """
+    _index_pair(k, n)
+    big, small, den = _common_widths(trap)
+    h = trap.height
+    cut = k * ((2 * n - k) * big + k * small)
+    return Fraction(h.numerator * (n * n * (big + small) - cut), 2 * n * n * den * h.denominator)
 
 
 def transversal_given_upper_area(trap: Trapezoid, upper_area: Rational) -> QuadraticLength:

@@ -91,7 +91,10 @@ def _step(
 
 
 def scribe_trace_smt26() -> list[TraceStep]:
-    """The reverse-side party-wall computation on SMT26_WALL: wall thickness 0;6."""
+    """The reverse-side party-wall computation on SMT26_WALL: wall thickness 0;6.
+
+    The last step checks that the plan's three areas make up the whole field.
+    """
     trap, n, k0 = SMT26_WALL
     plan = plan_wall(trap, n, k0)
     upper, lower = trap.upper, trap.lower
@@ -131,6 +134,7 @@ def scribe_trace_smt26() -> list[TraceStep]:
     left_pair = step("reverse L17", "upper width plus left edge", upper + left_edge)
     left_product = step("reverse L17", "left height times the width sum", h1 * left_pair)
     step("reverse L17", "halve it: the left share", left_product / 2)
+    step("check", "S_left + S_wall + S_right", plan.left_area + plan.wall_area + plan.right_area)
     return steps
 
 

@@ -176,13 +176,21 @@ def _places_needed(fact: RegularFactorization) -> int:
 
 
 def exact_fraction(value: Rational, what: str) -> Fraction:
-    """The argument as a Fraction; a float is refused as inexact, bad text as a ParseError."""
+    """The argument as a Fraction.
+
+    A float (inexact) or a type Fraction does not read is a DomainError, and
+    text that is not a rational is a ParseError.
+    """
     if isinstance(value, float):
         raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{what} is not a rational: {value!r}") from None
+    except TypeError:
+        raise DomainError(
+            f"{what} must be an int, Fraction or string, not {type(value).__name__}"
+        ) from None
 
 
 def check_int(value: int, what: str, lo: int) -> None:

@@ -406,34 +406,55 @@ def test_broken_pipe_exits_141_without_traceback():
     assert (proc.returncode, err) == (141, b"")
 
 
-# --- one subcommand per parser ---------------------------------------------
+# --- one parser per command --------------------------------------------------
 
 
-def outcome(argv):
-    """(exit code, stdout, stderr) of main(argv), which may exit through argparse."""
+def outcome(argv, call=main):
+    """(exit code, stdout, stderr) of call(argv), which may exit through argparse."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = call(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
+def full_parser_call(argv):
+    """main with the full parser alone: parse argv with all six commands, then run the handler."""
+    return cli._dispatch(build_parser().parse_args(argv))
+
+
 COMMANDS = ["convert", "bisect", "strips", "wall", "search", "smt26"]
 WALL_ARGS = ["1;40", "0;20", "1", "10"]
+# The command's own parser leaves arguments over, so main parses these again
+# with the full parser, which refuses them under its own usage line. With a
+# positional missing ("convert --bogus"), the command's parser refuses first.
+LEFTOVER_CASES = [
+    ["smt26", "--bogus"],
+    ["smt26", "--places", "2"],  # smt26 takes no --places
+    ["convert", "5/3", "extra"],
+    ["convert", "5/3", "--bogus", "extra"],
+    ["wall", *WALL_ARGS, "11"],
+]
 PARSE_CASES = (
     [[], ["-h"], ["frobnicate"], ["--bogus", "convert"], ["--", "convert", "5/3"]]
+    + [["-h", "convert"]]
     + [[command, "-h"] for command in COMMANDS]
     + [[command] for command in COMMANDS if command != "smt26"]  # missing positionals
-    + [[command, "--bogus"] for command in COMMANDS]
+    + [[command, "--bogus"] for command in COMMANDS if command != "smt26"]
+    + LEFTOVER_CASES
     + [
-        ["convert", "5/3", "extra"],  # a top-level usage line after the command
-        ["smt26", "--places", "2"],
         ["convert", "5/3", "--places", "21"],
         ["convert", "-5/13", "--places", "3", "--numeral", "dec"],
+        ["convert", "5/3", "-h"],
+        ["convert", "--", "5/3"],
+        ["convert", "5/3", "--format=jsonl"],
+        ["convert", "5/3", "--format", "jsonl", "--format", "table"],
         ["bisect", "1;40", "0;20", "--format", "jsonl"],
+        ["bisect", "1;40", "0;20", "--form", "jsonl"],  # prefixes of option names
         ["strips", *WALL_ARGS, "--numeral", "rat"],
+        ["strips", *WALL_ARGS, "--numer", "rat"],
         ["wall", *WALL_ARGS, "--format", "jsonl"],
         ["search", "2", "20", "3", "30", "--regular-only"],
         ["smt26", "--part", "obverse1"],
@@ -445,11 +466,17 @@ PARSE_CASES = (
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_one_subcommand_parses_as_all_six_do(argv, columns, monkeypatch):
     monkeypatch.setenv("COLUMNS", columns)  # help and usage wrap at this width
-    one = outcome(argv)
+    full = outcome(argv, full_parser_call)
     built = []
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser())
-    assert outcome(argv) == one
-    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    monkeypatch.setattr(
+        cli, "build_parser", lambda command=None: built.append(command) or build_parser(command)
+    )
+    assert outcome(argv) == full
+    if argv and argv[0] in COMMANDS:
+        # None is the full parser, built only for arguments left over.
+        assert built == [argv[0]] + [None] * (argv in LEFTOVER_CASES)
+    else:
+        assert built == [None]
 
 
 # Calls that differ from their predecessor in a flag, a default or an exit.

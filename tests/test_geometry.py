@@ -39,6 +39,22 @@ def brute_cumulative(trap, k, n):
     return total
 
 
+# The interpolation formulas the library used before each strip value became
+# one integer quotient, kept as references that share no formula with it.
+def interpolated_transversal(trap, k, n):
+    t = Fraction(k, n)
+    return (1 - t) * trap.upper + t * trap.lower
+
+
+def interpolated_cumulative(trap, k, n):
+    t = Fraction(k, n)
+    return (t * trap.height / 2) * ((2 - t) * trap.upper + t * trap.lower)
+
+
+def interpolated_complement(trap, k, n):
+    return area(trap) - interpolated_cumulative(trap, k, n)
+
+
 def test_quadratic_length_from_square():
     result = QuadraticLength.from_square(Fraction(49, 9))
     assert result.exact_root == Fraction(7, 3)
@@ -160,3 +176,33 @@ def test_strip_sum_oracle_all_small_n():
 def test_conservation(trap, n):
     for k in range(n + 1):
         assert cumulative_area(trap, k, n) + complement_area(trap, k, n) == area(trap)
+
+
+@given(trapezoids(), st.integers(min_value=1, max_value=200))
+@settings(max_examples=100)
+def test_integer_quotients_match_interpolation(trap, n):
+    for k in range(n + 1):
+        left = cumulative_area(trap, k, n)
+        right = complement_area(trap, k, n)
+        assert transversal_at(trap, k, n) == interpolated_transversal(trap, k, n)
+        assert left == interpolated_cumulative(trap, k, n)
+        assert right == interpolated_complement(trap, k, n)
+        # Two closed forms that do not subtract one from the other.
+        assert left + right == area(trap)
+
+
+@pytest.mark.parametrize(
+    "k, n, message",
+    [
+        (-1, 10, "need n >= 1 and 0 <= k <= n, got k=-1, n=10"),
+        (11, 10, "need n >= 1 and 0 <= k <= n, got k=11, n=10"),
+        (0, 0, "need n >= 1 and 0 <= k <= n, got k=0, n=0"),
+        (Fraction(1), 10, "strip indices must be integers"),
+        (1.0, 10, "strip indices must be integers"),
+    ],
+)
+@pytest.mark.parametrize("fn", [transversal_at, cumulative_area, complement_area])
+def test_strip_values_refuse_bad_indices(fn, k, n, message):
+    with pytest.raises(DomainError) as refused:
+        fn(SMT26, k, n)
+    assert str(refused.value) == message

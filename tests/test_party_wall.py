@@ -124,6 +124,7 @@ EXPECTED_REVERSE = [
     ("reverse L17", Fraction(44, 15), "2;56", False),
     ("reverse L17", Fraction(22, 25), "0;52,48", False),
     ("reverse L17", Fraction(11, 25), "0;26,24", False),
+    ("check", Fraction(1), "1", False),
 ]
 
 

@@ -34,7 +34,7 @@ def test_readme_session_runs_as_a_doctest():
 
 
 def test_readme_cli_examples_cover_every_command():
-    assert {argv[1] for argv in CLI_EXAMPLES} == set(cli._COMMAND_NAMES)
+    assert {argv[1] for argv in CLI_EXAMPLES} == set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", CLI_EXAMPLES, ids=" ".join)

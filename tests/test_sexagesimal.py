@@ -94,6 +94,25 @@ def test_malformed_text_is_a_parse_error(fn, args, what):
 
 
 @pytest.mark.parametrize(
+    "fn,args,what",
+    [
+        (Trapezoid, (None, 1, 1), "upper width"),
+        (Trapezoid, (2, 1, [1]), "height"),
+        (transversal_bisector, ([1], 1), "upper width"),
+        (transversal_bisector, (2, 1j), "lower width"),
+        (rational_to_sex, (b"1", 2), "value"),
+        (truncate_sex, (None, 2), "value"),
+        (sqrt_sex, ({}, 1), "value"),
+    ],
+)
+def test_wrong_argument_type_is_a_domain_error(fn, args, what):
+    # Fraction refuses these with a TypeError, which must not escape the
+    # package's own error hierarchy.
+    with pytest.raises(DomainError, match=f"{what} must be an int, Fraction or string, not "):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
     "text,value",
     [
         ("3,45", Fraction(225)),
