@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     IrrationalRootsError,
     NonTerminatingError,
-    NotRegularError,
     ParseError,
     PlacesExceededError,
     TrapwallError,

@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, party_wall, wall_solver
@@ -23,7 +22,7 @@ from .errors import (
     ParseError,
     PlacesExceededError,
 )
-from .party_wall import PartyWallPlan, TraceStep
+from .party_wall import PartyWallPlan
 from .sexagesimal import (
     MAX_EXACT_PLACES,
     check_int,
@@ -48,14 +47,6 @@ _INTEGER = r"[+-]?[0-9]+"
 _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _NUMBER_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
 _NEGATIVE_RE = re.compile(r"-[0-9]")
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    format: str
-    numeral: str
-    places: int
-    explicit_places: bool
 
 
 def parse_value(text: str) -> Fraction:
@@ -96,15 +87,20 @@ def _exact_sex(x: Fraction, places: int = MAX_EXACT_PLACES) -> str | None:
         return None
 
 
-def render(x: Fraction, cfg: OutputConfig) -> str:
-    """One value as text in the configured numeral mode (table output)."""
-    if cfg.numeral == "rat":
+def _places(args: argparse.Namespace) -> int:
+    """The fractional places of truncated output: --places, or DEFAULT_PLACES without it."""
+    return DEFAULT_PLACES if args.places is None else args.places
+
+
+def render(x: Fraction, args: argparse.Namespace) -> str:
+    """One exact value as table text in args' numeral mode; trace steps render here too."""
+    if args.numeral == "rat":
         return str(x)
-    if cfg.numeral == "dec":
-        return f"{_decimal_str(x, cfg.places)} (approx)"
-    # No exact form within MAX_EXACT_PLACES means none within cfg.places <= MAX_EXACT_PLACES.
+    if args.numeral == "dec":
+        return f"{_decimal_str(x, _places(args))} (approx)"
+    # No exact form within MAX_EXACT_PLACES means none within _places(args) <= MAX_EXACT_PLACES.
     text = _exact_sex(x)
-    return text if text is not None else f"{truncate_sex(x, cfg.places)[0]} (truncated)"
+    return text if text is not None else f"{truncate_sex(x, _places(args))[0]} (truncated)"
 
 
 def value_record(x: Fraction) -> dict:
@@ -112,65 +108,69 @@ def value_record(x: Fraction) -> dict:
     return {"rational": str(x), "sexagesimal": _exact_sex(x)}
 
 
-def cmd_convert(args: argparse.Namespace, cfg: OutputConfig) -> int:
+def cmd_convert(args: argparse.Namespace) -> int:
     value = parse_value(args.value)
-    if cfg.numeral == "sex" and not cfg.explicit_places:
+    if args.numeral == "sex" and args.places is None:
         # Nothing asked for a truncation: a value with no exact form is exit 3.
         sex_text = str(rational_to_sex(value, MAX_EXACT_PLACES))
     else:
-        sex_text = _exact_sex(value, cfg.places if cfg.explicit_places else MAX_EXACT_PLACES)
+        sex_text = _exact_sex(value, MAX_EXACT_PLACES if args.places is None else args.places)
     truncated = sex_text is None
     if truncated:
-        sex_text = str(truncate_sex(value, cfg.places)[0])
-    if cfg.format == "jsonl":
+        sex_text = str(truncate_sex(value, _places(args))[0])
+    if args.format == "jsonl":
         record = {"rational": str(value), "sexagesimal": sex_text, "truncated": truncated}
         print(json.dumps(record))
-    elif cfg.numeral == "sex":
+    elif args.numeral == "sex":
         print(f"{sex_text} (truncated)" if truncated else sex_text)
     else:
-        print(render(value, cfg))
+        print(render(value, args))
     return EXIT_OK
 
 
-def cmd_bisect(args: argparse.Namespace, cfg: OutputConfig) -> int:
+def cmd_bisect(args: argparse.Namespace) -> int:
     upper = parse_value(args.upper)
     lower = parse_value(args.lower)
     result = geometry.transversal_bisector(upper, lower)
-    if cfg.format == "jsonl":
+    if args.format == "jsonl":
         record = {
             "d_sq": value_record(result.value_sq),
             "d": value_record(result.exact_root) if result.exact_root is not None else None,
             "d_truncated": None
             if result.exact_root is not None
-            else str(sqrt_sex(result.value_sq, cfg.places)),
+            else str(sqrt_sex(result.value_sq, _places(args))),
         }
         print(json.dumps(record))
         return EXIT_OK
-    print(f"d^2 = {render(result.value_sq, cfg)}")
+    print(f"d^2 = {render(result.value_sq, args)}")
     if result.exact_root is not None:
-        print(f"d = {render(result.exact_root, cfg)}")
-    elif cfg.numeral == "rat":
+        print(f"d = {render(result.exact_root, args)}")
+    elif args.numeral == "rat":
         print(f"d = sqrt({result.value_sq})")
-    elif cfg.numeral == "dec":
-        print(f"d = {_decimal_sqrt_str(result.value_sq, cfg.places)} (approx)")
+    elif args.numeral == "dec":
+        print(f"d = {_decimal_sqrt_str(result.value_sq, _places(args))} (approx)")
     else:
-        print(f"d = {sqrt_sex(result.value_sq, cfg.places)} (truncated)")
+        print(f"d = {sqrt_sex(result.value_sq, _places(args))} (truncated)")
     return EXIT_OK
 
 
-def cmd_strips(args: argparse.Namespace, cfg: OutputConfig) -> int:
-    trap = geometry.Trapezoid(
+def _trapezoid(args: argparse.Namespace) -> geometry.Trapezoid:
+    return geometry.Trapezoid(
         parse_value(args.upper), parse_value(args.lower), parse_value(args.height)
     )
+
+
+def cmd_strips(args: argparse.Namespace) -> int:
+    trap = _trapezoid(args)
     n = args.n
     check_int(n, "strip count", 1)
-    if cfg.format != "jsonl":
+    if args.format != "jsonl":
         print("k\td\tS\tS'")
     for k in range(n + 1):
         d = geometry.transversal_at(trap, k, n)
         left = geometry.cumulative_area(trap, k, n)
         right = geometry.complement_area(trap, k, n)
-        if cfg.format == "jsonl":
+        if args.format == "jsonl":
             record = {
                 "k": k,
                 "d": value_record(d),
@@ -179,7 +179,7 @@ def cmd_strips(args: argparse.Namespace, cfg: OutputConfig) -> int:
             }
             print(json.dumps(record))
         else:
-            print(f"{k}\t{render(d, cfg)}\t{render(left, cfg)}\t{render(right, cfg)}")
+            print(f"{k}\t{render(d, args)}\t{render(left, args)}\t{render(right, args)}")
     return EXIT_OK
 
 
@@ -201,34 +201,32 @@ def plan_record(plan: PartyWallPlan) -> dict:
     return {key: value_record(getattr(plan, attr)) for key, attr in _PLAN_KEYS}
 
 
-def cmd_wall(args: argparse.Namespace, cfg: OutputConfig) -> int:
-    trap = geometry.Trapezoid(
-        parse_value(args.upper), parse_value(args.lower), parse_value(args.height)
-    )
+def cmd_wall(args: argparse.Namespace) -> int:
+    trap = _trapezoid(args)
     indices = wall_solver.solve_k0(trap.upper, trap.lower, args.n)
     if not indices:
-        stream = sys.stderr if cfg.format == "jsonl" else sys.stdout
+        stream = sys.stderr if args.format == "jsonl" else sys.stdout
         print("no admissible wall", file=stream)
         return EXIT_NO_SOLUTION
     for k0 in indices:
         plan = party_wall.plan_wall(trap, args.n, k0)
-        if cfg.format == "jsonl":
+        if args.format == "jsonl":
             record = {"k0": k0}
             record.update(plan_record(plan))
             print(json.dumps(record))
         else:
             print(f"k0 = {k0}")
             for key, attr in _PLAN_KEYS:
-                print(f"{key} = {render(getattr(plan, attr), cfg)}")
+                print(f"{key} = {render(getattr(plan, attr), args)}")
     return EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace, cfg: OutputConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     hits = wall_solver.search_hits(
         args.r_lo, args.r_hi, args.n_lo, args.n_hi, regular_only=args.regular_only
     )
     cases = (args.r_hi - args.r_lo + 1) * (args.n_hi - args.n_lo + 1)
-    if cfg.format == "jsonl":
+    if args.format == "jsonl":
         for hit in hits:
             record = {"r": hit.r, "n": hit.n, "k0": hit.k0, "n_regular": hit.n_regular}
             print(json.dumps(record))
@@ -241,27 +239,19 @@ def cmd_search(args: argparse.Namespace, cfg: OutputConfig) -> int:
     return EXIT_OK
 
 
-def _step_record(step: TraceStep) -> dict:
-    return {
-        "label": step.label,
-        "description": step.description,
-        "rational": str(step.value),
-        "sexagesimal": str(step.sex),
-        "truncated": step.truncated,
-    }
-
-
-def cmd_smt26(args: argparse.Namespace, cfg: OutputConfig) -> int:
+def cmd_smt26(args: argparse.Namespace) -> int:
     if args.part == "reverse":
         steps = party_wall.scribe_trace_smt26()
     else:
         steps = party_wall.scribe_trace_obverse1()
     for step in steps:
-        if cfg.format == "jsonl":
-            print(json.dumps(_step_record(step)))
+        if args.format == "jsonl":
+            record = {"label": step.label, "description": step.description}
+            record.update(value_record(step.value), truncated=step.truncated)
+            print(json.dumps(record))
         else:
             suffix = " (truncated)" if step.truncated else ""
-            print(f"{step.label}\t{step.description}\t{step.sex}{suffix}")
+            print(f"{step.label}\t{step.description}\t{render(step.value, args)}{suffix}")
     return EXIT_OK
 
 
@@ -314,8 +304,8 @@ def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--places", type=_places_flag)
     for arg in positionals:
         p.add_argument(arg, type=_integer if arg in _INTEGER_ARGS else None)
-    # search and smt26 print no computed values, so they take neither
-    # --numeral nor --places; every command still gets both defaults.
+    # search prints integers and smt26 the tablet's exact base-60 values, so
+    # neither takes --numeral or --places; render reads both defaults.
     p.set_defaults(handler=handler, numeral="sex", places=None)
     if name == "search":
         p.add_argument("--regular-only", action="store_true")
@@ -347,14 +337,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the parsed command and map a refused input to its exit code."""
-    cfg = OutputConfig(
-        format=args.format,
-        numeral=args.numeral,
-        places=args.places if args.places is not None else DEFAULT_PLACES,
-        explicit_places=args.places is not None,
-    )
     try:
-        return args.handler(args, cfg)
+        return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

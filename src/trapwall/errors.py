@@ -21,9 +21,5 @@ class PlacesExceededError(TrapwallError):
     """The value terminates in base 60 but needs more fractional places than allowed."""
 
 
-class NotRegularError(TrapwallError):
-    """The integer has a prime factor other than 2, 3 or 5."""
-
-
 class IrrationalRootsError(TrapwallError):
     """The quadratic's roots are irrational (discriminant kernel not a perfect square)."""

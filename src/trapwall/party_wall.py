@@ -1,27 +1,19 @@
 """Full party-wall divisions and the SMT No. 26 tablet's step-by-step arithmetic.
 
-The traces reproduce the tablet's computations value for value, with each
-step carried both as an exact rational and as its base-60 rendering. The one
+The traces reproduce the tablet's computations value for value, each step
+carried as an exact rational; the CLI renders them in base 60. The one
 approximate step on the tablet (the truncated square root) is flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
 from . import geometry
 from .geometry import Trapezoid
-from .sexagesimal import (
-    MAX_EXACT_PLACES,
-    SexValue,
-    isqrt,
-    rational_to_sex,
-    reciprocal_regular,
-    sex_to_rational,
-    sqrt_sex,
-)
+from .sexagesimal import isqrt, reciprocal_regular, sex_to_rational, sqrt_sex
 
 
 @dataclass(frozen=True)
@@ -42,18 +34,21 @@ class PartyWallPlan:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One tablet computation: line label, what it does, exact value, base-60 text."""
+    """One tablet computation: line label, what it does, its exact value, and
+    whether the scribe truncated it. The value is never text: the CLI renders it."""
 
     label: str
     description: str
     value: Fraction
-    sex: SexValue
     truncated: bool = False
 
 
 # SMT No. 26's reverse problem as (trapezoid, strip count, wall index): widths
 # 1;40 and 0;20, length 1, cut into 10 strips with the wall at strip 4.
 SMT26_WALL = (Trapezoid(Fraction(5, 3), Fraction(1, 3), 1), 10, 4)
+# SMT No. 26's first obverse problem as (trapezoid, upper area): widths 2,10
+# and 30, length 3,45, with the area 4,30,0 prescribed next to the wide end.
+SMT26_OBVERSE = (Trapezoid(130, 30, 225), Fraction(16200))
 
 
 def plan_wall(trap: Trapezoid, n: int, k0: int) -> PartyWallPlan:
@@ -84,16 +79,16 @@ def plan_wall(trap: Trapezoid, n: int, k0: int) -> PartyWallPlan:
 def _step(
     steps: list[TraceStep], label: str, what: str, value: Fraction, truncated: bool = False
 ) -> Fraction:
-    """Append a computed value to the trace, with its exact base-60 text, and return it."""
-    sex = rational_to_sex(value, MAX_EXACT_PLACES)
-    steps.append(TraceStep(label, what, value, sex, truncated))
+    """Append a computed value to the trace and return it; the trace holds no text."""
+    steps.append(TraceStep(label, what, value, truncated))
     return value
 
 
 def scribe_trace_smt26() -> list[TraceStep]:
     """The reverse-side party-wall computation on SMT26_WALL: wall thickness 0;6.
 
-    The last step checks that the plan's three areas make up the whole field.
+    Every value the scribe shares with plan_wall must equal the plan's, and
+    the last step sums the scribe's three areas, which make up the whole field.
     """
     trap, n, k0 = SMT26_WALL
     plan = plan_wall(trap, n, k0)
@@ -112,15 +107,12 @@ def scribe_trace_smt26() -> list[TraceStep]:
     half_sum = step("reverse L9", "half of the sum", sum_sq / 2)
     # The scribe truncates the irrational root to one place and works with
     # that; for this data the truncation equals the exact wall midline.
-    # Explicit raises, not asserts, so that python -O keeps the checks.
     midline = step(
         "reverse L9",
         "square root paced off, truncated to one place",
         sex_to_rational(sqrt_sex(half_sum, 1)),
         truncated=True,
     )
-    if midline != plan.midline:
-        raise AssertionError(f"truncated root {midline} is not the wall midline {plan.midline}")
     left_edge = step(
         "reverse L13", "left edge: wall width plus half the excess", midline + half_offset
     )
@@ -128,23 +120,29 @@ def scribe_trace_smt26() -> list[TraceStep]:
         "reverse L13", "right edge: wall width minus half the excess", midline - half_offset
     )
     right_pair = step("reverse L13", "right edge plus lower width", right_edge + lower)
-    step("reverse L14-15", "wall area: thickness times wall width", h0 * midline)
+    wall_area = step("reverse L14-15", "wall area: thickness times wall width", h0 * midline)
     right_product = step("reverse L16", "right height times the width sum", h2 * right_pair)
-    step("reverse L16", "halve it: the right share", right_product / 2)
+    right_area = step("reverse L16", "halve it: the right share", right_product / 2)
     left_pair = step("reverse L17", "upper width plus left edge", upper + left_edge)
     left_product = step("reverse L17", "left height times the width sum", h1 * left_pair)
-    step("reverse L17", "halve it: the left share", left_product / 2)
-    step("check", "S_left + S_wall + S_right", plan.left_area + plan.wall_area + plan.right_area)
+    left_area = step("reverse L17", "halve it: the left share", left_product / 2)
+    step("check", "S_left + S_wall + S_right", left_area + wall_area + right_area)
+    # The plan with the scribe's values put in must be the plan itself: an
+    # explicit raise, not an assert, so that python -O keeps the check.
+    scribe = replace(
+        plan, midline=midline, left_edge=left_edge, right_edge=right_edge,
+        wall_area=wall_area, right_area=right_area, left_area=left_area,
+    )
+    if scribe != plan:
+        raise AssertionError(f"the scribe's values {scribe} are not the plan's {plan}")
     return steps
 
 
 def scribe_trace_obverse1() -> list[TraceStep]:
-    """The obverse problem: widths 2,10 and 30, length 3,45, upper area 4,30,0;
-    find the transversal below the prescribed area."""
-    upper = Fraction(130)
-    lower = Fraction(30)
-    height = Fraction(225)
-    upper_area = Fraction(16200)
+    """The obverse problem SMT26_OBVERSE: find the transversal below the prescribed
+    area. The root must be geometry's exact transversal for the same data."""
+    trap, upper_area = SMT26_OBVERSE
+    upper, lower, height = trap.upper, trap.lower, trap.height
     steps: list[TraceStep] = []
     step = partial(_step, steps)
 
@@ -158,5 +156,7 @@ def scribe_trace_obverse1() -> list[TraceStep]:
     root_int, perfect = isqrt(int(remainder))
     if remainder.denominator != 1 or not perfect:
         raise AssertionError(f"{remainder} is not the square of an integer")
-    step("obverse L6", "square root", Fraction(root_int))
+    root = step("obverse L6", "square root", Fraction(root_int))
+    if root != geometry.transversal_given_upper_area(*SMT26_OBVERSE).exact_root:
+        raise AssertionError(f"root {root} is not geometry's exact transversal")
     return steps

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import (
     DomainError,
     NonTerminatingError,
-    NotRegularError,
     ParseError,
     PlacesExceededError,
 )
@@ -163,9 +162,9 @@ def is_regular(m: int) -> RegularFactorization | None:
 
 
 def reciprocal_regular(m: int) -> Fraction:
-    """Exact reciprocal of a regular integer."""
+    """Exact reciprocal of a regular integer; any other has no finite base-60 expansion."""
     if is_regular(m) is None:
-        raise NotRegularError(f"{m} has a prime factor other than 2, 3, 5")
+        raise NonTerminatingError(f"{m} has a prime factor other than 2, 3, 5")
     return Fraction(1, m)
 
 
@@ -225,8 +224,6 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
     """
     check_int(max_frac_places, "max_frac_places", 0)
     x = exact_fraction(x, "value")
-    if x == 0:
-        return SexValue(1, (0,), ())
     sign = 1 if x > 0 else -1
     magnitude = abs(x)
     fact = is_regular(magnitude.denominator)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DomainError, IrrationalRootsError
 from .geometry import Rational, Trapezoid, check_wall_index, check_widths
-from .sexagesimal import check_int, exact_fraction, is_regular
+from .sexagesimal import check_int, is_regular, isqrt
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
 # kernel is a non-residue modulo one of these is skipped without an isqrt.
@@ -111,10 +111,7 @@ def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
 
 def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
     """Discriminant 4(2n^2-1)(a^2 + b^2) + 8ab of the wall quadratic; always positive."""
-    a = exact_fraction(upper, "upper width")
-    b = exact_fraction(lower, "lower width")
-    if a <= 0 or b <= 0:
-        raise DomainError("widths must be positive")
+    a, b = check_widths(upper, lower)
     check_int(n, "strip count", 2)
     return 4 * (2 * n * n - 1) * (a * a + b * b) + 8 * a * b
 
@@ -132,8 +129,8 @@ def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
     Raises IrrationalRootsError when the kernel is not a perfect square.
     """
     kern = discriminant_kernel(r, n)
-    root = math.isqrt(kern)
-    if root * root != kern:
+    root, perfect = isqrt(kern)
+    if not perfect:
         raise IrrationalRootsError(f"kernel {kern} is not a perfect square")
     base = (2 * n + 1) * r - 1
     den = 2 * (r - 1)
@@ -163,8 +160,8 @@ def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
     # Positive: the widths are checked to be upper > lower > 0 (see discriminant).
     disc = linear * linear - 4 * lead * constant
-    root = math.isqrt(disc)
-    if root * root != disc:
+    root, perfect = isqrt(disc)
+    if not perfect:
         return []
     return _roots_between(-linear, root, 2 * lead, n)
 
@@ -253,6 +250,7 @@ def search_hits(
     hits = []
     for r, n in _candidates(r_lo, r_hi, n_lo, n_hi):
         kern = (2 * n * n - 1) * (r * r + 1) + 2 * r
+        # Inline, not sexagesimal.isqrt: this runs once per sieve survivor.
         root = math.isqrt(kern)
         if root * root != kern:
             continue

@@ -17,7 +17,7 @@ from trapwall.geometry import (
     transversal_bisector,
     transversal_given_upper_area,
 )
-from trapwall.party_wall import plan_wall
+from trapwall.party_wall import SMT26_OBVERSE, plan_wall
 from trapwall.sexagesimal import (
     format_sex,
     parse_sex,
@@ -166,7 +166,7 @@ def test_criterion_4_smt26_plan():
 
 
 def test_criterion_5_obverse_problem_1():
-    result = transversal_given_upper_area(Trapezoid(130, 30, 225), 16200)
+    result = transversal_given_upper_area(*SMT26_OBVERSE)
     report(5, "transversal below a given area", result.exact_root == 50)
 
 

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "DomainError",
     "IrrationalRootsError",
     "NonTerminatingError",
-    "NotRegularError",
     "ParseError",
     "PlacesExceededError",
     "TrapwallError",
@@ -52,7 +51,7 @@ PUBLIC_NAMES = [
 
 def test_all_lists_the_public_names():
     assert sorted(trapwall.__all__) == sorted(PUBLIC_NAMES)
-    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 40
+    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 39
     for name in trapwall.__all__:
         assert not isinstance(getattr(trapwall, name), ModuleType)
 

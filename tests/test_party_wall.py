@@ -18,7 +18,7 @@ from trapwall.party_wall import (
     scribe_trace_obverse1,
     scribe_trace_smt26,
 )
-from trapwall.sexagesimal import sex_to_rational
+from trapwall.sexagesimal import MAX_EXACT_PLACES, rational_to_sex
 from trapwall.wall_solver import solve_k0, verify_split
 
 SMT26 = Trapezoid(Fraction(5, 3), Fraction(1, 3), 1)
@@ -128,11 +128,19 @@ EXPECTED_REVERSE = [
 ]
 
 
+def sex_text(step):
+    """The step's exact base-60 text; raises when its value has none within MAX_EXACT_PLACES.
+
+    Traces carry values, not text, and the CLI renders a value without an
+    exact form as truncated text: the golden tests below, which render every
+    step of both traces here, are what keeps every step exact.
+    """
+    return str(rational_to_sex(step.value, MAX_EXACT_PLACES))
+
+
 def test_scribe_trace_smt26_golden():
     steps = scribe_trace_smt26()
-    assert [(s.label, s.value, str(s.sex), s.truncated) for s in steps] == EXPECTED_REVERSE
-    for step in steps:
-        assert sex_to_rational(step.sex) == step.value
+    assert [(s.label, s.value, sex_text(s), s.truncated) for s in steps] == EXPECTED_REVERSE
 
 
 def test_scribe_trace_smt26_descriptions():
@@ -140,7 +148,7 @@ def test_scribe_trace_smt26_descriptions():
     by_description = {s.description: s for s in steps}
     assert by_description["square of upper width"].value == Fraction(25, 9)
     assert by_description["sum of squares"].value == Fraction(26, 9)
-    shares = [s for s in steps if str(s.sex) == "0;26,24"]
+    shares = [s for s in steps if sex_text(s) == "0;26,24"]
     assert len(shares) == 2
 
 
@@ -158,7 +166,7 @@ EXPECTED_OBVERSE = [
 
 def test_scribe_trace_obverse1_golden():
     steps = scribe_trace_obverse1()
-    assert [(s.label, s.value, str(s.sex)) for s in steps] == EXPECTED_OBVERSE
+    assert [(s.label, s.value, sex_text(s)) for s in steps] == EXPECTED_OBVERSE
     assert not any(s.truncated for s in steps)
     by_description = {s.description: s for s in steps}
     assert by_description["reciprocal of the length"].value == Fraction(1, 225)
@@ -172,6 +180,16 @@ def test_trace_truncation_coincides_with_exact_midline():
     truncated = [s for s in steps if s.truncated]
     assert len(truncated) == 1
     assert truncated[0].value == plan_wall(SMT26, 10, 4).midline
+
+
+def run_under_python_O(script):
+    """The stdout lines of script run by python -O with this checkout's package."""
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return run.stdout.splitlines()
 
 
 def test_trace_checks_survive_python_O():
@@ -190,10 +208,27 @@ def test_trace_checks_survive_python_O():
         "    except AssertionError:\n"
         "        print('rejected')\n"
     )
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
     counts = f"{len(scribe_trace_smt26())} {len(scribe_trace_obverse1())}"
-    assert run.stdout.splitlines() == [counts, "rejected", "rejected"]
+    assert run_under_python_O(script) == [counts, "rejected", "rejected"]
+
+
+def test_traces_check_their_results_against_the_library_under_python_O():
+    # The reverse trace compares every value it shares with plan_wall, the
+    # right share among them, and the obverse trace compares its root with
+    # geometry's exact transversal: a mismatch raises, also under python -O.
+    script = (
+        "from dataclasses import replace\n"
+        "from trapwall import party_wall\n"
+        "plan_wall = party_wall.plan_wall\n"
+        "def skewed(*args):\n"
+        "    plan = plan_wall(*args)\n"
+        "    return replace(plan, right_area=plan.right_area + 1)\n"
+        "party_wall.plan_wall = skewed\n"
+        "party_wall.isqrt = lambda m: (51, True)\n"
+        "for trace in (party_wall.scribe_trace_smt26, party_wall.scribe_trace_obverse1):\n"
+        "    try:\n"
+        "        trace()\n"
+        "    except AssertionError:\n"
+        "        print('rejected')\n"
+    )
+    assert run_under_python_O(script) == ["rejected", "rejected"]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from trapwall.errors import (
     DomainError,
     NonTerminatingError,
-    NotRegularError,
     ParseError,
     PlacesExceededError,
 )
@@ -134,6 +133,8 @@ def test_sex_to_rational(text, value):
         (Fraction(0), 0, "0"),
         (Fraction(-5, 2), 1, "-2;30"),
         (Fraction(11, 25), 2, "0;26,24"),
+        (0, 5, "0"),
+        (Fraction(0), 20, "0"),
     ],
 )
 def test_rational_to_sex(value, places, text):
@@ -174,7 +175,7 @@ def test_regular_factorization_reconstructs():
 def test_reciprocal_regular():
     assert reciprocal_regular(225) == Fraction(1, 225)
     assert reciprocal_regular(1) == 1
-    with pytest.raises(NotRegularError):
+    with pytest.raises(NonTerminatingError):
         reciprocal_regular(7)
 
 

@@ -143,6 +143,8 @@ def test_discriminant_examples():
         discriminant(0, 1, 5)
     with pytest.raises(DomainError):
         discriminant(2, 1, 1)
+    with pytest.raises(DomainError):  # upper < lower, refused as every width function does
+        discriminant(1, 5, 10)
 
 
 def test_discriminant_kernel_examples():
