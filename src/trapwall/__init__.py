@@ -4,7 +4,6 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     DomainError,
-    IrrationalRootsError,
     NonTerminatingError,
     ParseError,
     PlacesExceededError,
@@ -42,14 +41,12 @@ from .sexagesimal import (
 )
 from .wall_solver import (
     SearchHit,
-    WallQuadratic,
     discriminant,
     discriminant_kernel,
     k0_closed_form,
     search_hits,
     solve_k0,
     verify_split,
-    wall_quadratic,
 )
 
 __version__ = "0.1.0"

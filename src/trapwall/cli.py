@@ -25,6 +25,7 @@ from .errors import (
 from .party_wall import PartyWallPlan
 from .sexagesimal import (
     MAX_EXACT_PLACES,
+    RATIONAL_RE,
     check_int,
     parse_sex,
     rational_to_sex,
@@ -43,16 +44,14 @@ EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process that 
 DEFAULT_PLACES = 5
 
 # Integer arguments take the ASCII digits that values do, not all that int() reads.
-_INTEGER = r"[+-]?[0-9]+"
-_INTEGER_RE = re.compile(_INTEGER + r"\Z")
-_NUMBER_RE = re.compile(_INTEGER + r"(/[0-9]+)?\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _NEGATIVE_RE = re.compile(r"-[0-9]")
 
 
 def parse_value(text: str) -> Fraction:
     """Read a number as sexagesimal ("1;40", "2,53,20") or as "p/q" / integer."""
     text = text.strip()
-    if _NUMBER_RE.match(text):
+    if RATIONAL_RE.match(text):
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -100,7 +99,7 @@ def render(x: Fraction, args: argparse.Namespace) -> str:
         return f"{_decimal_str(x, _places(args))} (approx)"
     # No exact form within MAX_EXACT_PLACES means none within _places(args) <= MAX_EXACT_PLACES.
     text = _exact_sex(x)
-    return text if text is not None else f"{truncate_sex(x, _places(args))[0]} (truncated)"
+    return text if text is not None else f"{truncate_sex(x, _places(args))} (truncated)"
 
 
 def value_record(x: Fraction) -> dict:
@@ -117,7 +116,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         sex_text = _exact_sex(value, MAX_EXACT_PLACES if args.places is None else args.places)
     truncated = sex_text is None
     if truncated:
-        sex_text = str(truncate_sex(value, _places(args))[0])
+        sex_text = str(truncate_sex(value, _places(args)))
     if args.format == "jsonl":
         record = {"rational": str(value), "sexagesimal": sex_text, "truncated": truncated}
         print(json.dumps(record))

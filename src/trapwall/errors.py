@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI maps each one to an exit code."""
 
 
 class TrapwallError(Exception):
@@ -19,7 +19,3 @@ class NonTerminatingError(TrapwallError):
 
 class PlacesExceededError(TrapwallError):
     """The value terminates in base 60 but needs more fractional places than allowed."""
-
-
-class IrrationalRootsError(TrapwallError):
-    """The quadratic's roots are irrational (discriminant kernel not a perfect square)."""

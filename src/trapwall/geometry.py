@@ -25,6 +25,14 @@ def check_widths(upper: Rational, lower: Rational) -> tuple[Fraction, Fraction]:
     return a, b
 
 
+def check_wall_widths(upper: Rational, lower: Rational) -> tuple[Fraction, Fraction]:
+    """Both widths as Fractions, refused unless upper > lower > 0, as a party wall needs."""
+    a, b = check_widths(upper, lower)
+    if a == b:
+        raise DomainError("wall problems need upper > lower > 0")
+    return a, b
+
+
 def _index_pair(k: int, n: int) -> None:
     if not isinstance(k, int) or not isinstance(n, int):
         raise DomainError("strip indices must be integers")
@@ -68,8 +76,7 @@ class QuadraticLength:
 
 def check_wall_index(trap: Trapezoid, n: int, k0: int) -> None:
     """Refuse strip k0 of n as a party wall unless upper > lower and 1 < k0 < n."""
-    if trap.upper == trap.lower:
-        raise DomainError("wall problems need upper > lower")
+    check_wall_widths(trap.upper, trap.lower)
     if not isinstance(n, int) or not isinstance(k0, int) or not 1 < k0 < n:
         raise DomainError(f"need integers with 1 < k0 < n, got k0={k0}, n={n}")
 

@@ -26,6 +26,7 @@ BASE = 60
 MAX_EXACT_PLACES = 20
 
 Rational = Fraction | int | str
+RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")  # the text a Rational may be
 
 # A digit renders as a plain decimal integer with no zero padding.
 _DIGIT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
@@ -139,9 +140,6 @@ class RegularFactorization:
     pow3: int
     pow5: int
 
-    def product(self) -> int:
-        return 2**self.pow2 * 3**self.pow3 * 5**self.pow5
-
 
 def is_regular(m: int) -> RegularFactorization | None:
     """Factor m as 2^p * 3^q * 5^r if possible, else None.
@@ -178,10 +176,12 @@ def exact_fraction(value: Rational, what: str) -> Fraction:
     """The argument as a Fraction.
 
     A float (inexact) or a type Fraction does not read is a DomainError, and
-    text that is not a rational is a ParseError.
+    text outside RATIONAL_RE, the CLI's grammar ("1_0", "1.5", "1e3"), is a ParseError.
     """
     if isinstance(value, float):
         raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
+    if isinstance(value, str) and not RATIONAL_RE.match(value.strip()):
+        raise ParseError(f"{what} is not a rational: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -240,17 +240,14 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
     return _from_scaled_int(sign, scaled, places)
 
 
-def truncate_sex(x: Fraction, frac_places: int) -> tuple[SexValue, bool]:
-    """Truncate a rational toward zero to frac_places base-60 digits.
-
-    Returns the truncated numeral and whether it is exact.
-    """
+def truncate_sex(x: Fraction, frac_places: int) -> SexValue:
+    """Truncate a rational toward zero to frac_places base-60 digits."""
     check_int(frac_places, "frac_places", 0)
     x = exact_fraction(x, "value")
     sign = 1 if x >= 0 else -1
     magnitude = abs(x)
-    scaled, rem = divmod(magnitude.numerator * BASE**frac_places, magnitude.denominator)
-    return _from_scaled_int(sign, scaled, frac_places), rem == 0
+    scaled = magnitude.numerator * BASE**frac_places // magnitude.denominator
+    return _from_scaled_int(sign, scaled, frac_places)
 
 
 def isqrt(m: int) -> tuple[int, bool]:

@@ -4,11 +4,11 @@ Choosing strip k0 of n as a party wall leaves equal shares iff k0 solves
 
     2(a-b) k0^2 - (4na - 2b + 2a) k0 + n^2(a+b) + 2na + a - b = 0
 
-with a, b the widths. Natural solutions in 1 < k0 < n are rare: they need the
-discriminant to be a perfect square. With a = r*b the discriminant reduces to
-4 b^2 * kernel(r, n), kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r, so the search
-over integer ratios scans kernel values for perfect squares. A residue sieve
-first drops the (r, n) whose kernel is a non-square modulo small m.
+with a, b the widths; solve_k0 clears it to integers. Natural solutions in
+1 < k0 < n are rare: they need the discriminant to be a perfect square. With
+a = r*b it is 4 b^2 * kernel(r, n), kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r,
+so the search scans kernel values for perfect squares. A residue sieve first
+drops the (r, n) whose kernel is a non-square modulo small m.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IrrationalRootsError
-from .geometry import Rational, Trapezoid, check_wall_index, check_widths
+from .errors import DomainError
+from .geometry import Rational, Trapezoid, check_wall_index, check_wall_widths, check_widths
 from .sexagesimal import check_int, is_regular, isqrt
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
@@ -62,19 +62,6 @@ _KERNEL_SQUARES = {
 
 
 @dataclass(frozen=True)
-class WallQuadratic:
-    """Exact coefficients of lead*k^2 + linear*k + constant = 0."""
-
-    lead: Fraction
-    linear: Fraction
-    constant: Fraction
-
-    def evaluate(self, k: Rational) -> Fraction:
-        k = Fraction(k)
-        return self.lead * k * k + self.linear * k + self.constant
-
-
-@dataclass(frozen=True)
 class SearchHit:
     """An admissible triple: width ratio r, strip count n, wall index k0."""
 
@@ -90,9 +77,7 @@ def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, i
     scale is the lcm of the widths' denominators; every coefficient is linear
     in the widths, so clearing the widths clears the coefficients.
     """
-    a, b = check_widths(upper, lower)
-    if a == b:
-        raise DomainError("wall problems need upper > lower > 0")
+    a, b = check_wall_widths(upper, lower)
     check_int(n, "strip count", 3)
     scale = math.lcm(a.denominator, b.denominator)
     a = a.numerator * (scale // a.denominator)
@@ -101,12 +86,6 @@ def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, i
     linear = -(4 * n * a - 2 * b + 2 * a)
     constant = n * n * (a + b) + 2 * n * a + a - b
     return lead, linear, constant, scale
-
-
-def wall_quadratic(upper: Rational, lower: Rational, n: int) -> WallQuadratic:
-    """The quadratic in the wall index for a trapezoid cut into n strips."""
-    lead, linear, constant, scale = _cleared_quadratic(upper, lower, n)
-    return WallQuadratic(Fraction(lead, scale), Fraction(linear, scale), Fraction(constant, scale))
 
 
 def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
@@ -126,12 +105,12 @@ def discriminant_kernel(r: int, n: int) -> int:
 def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
     """Both roots ((2n+1)r - 1 -+ sqrt(kernel)) / (2(r-1)), ascending.
 
-    Raises IrrationalRootsError when the kernel is not a perfect square.
+    Raises DomainError unless the kernel is a perfect square, the form's precondition.
     """
     kern = discriminant_kernel(r, n)
     root, perfect = isqrt(kern)
     if not perfect:
-        raise IrrationalRootsError(f"kernel {kern} is not a perfect square")
+        raise DomainError(f"kernel {kern} is not a perfect square")
     base = (2 * n + 1) * r - 1
     den = 2 * (r - 1)
     return Fraction(base - root, den), Fraction(base + root, den)

@@ -30,7 +30,6 @@ from trapwall.wall_solver import (
     search_hits,
     solve_k0,
     verify_split,
-    wall_quadratic,
 )
 
 TABLE1 = [
@@ -235,14 +234,14 @@ def test_criterion_8_property_suite():
         n = rng.randint(3, 60)
         assert solve_k0(scale * upper, scale * lower, n) == solve_k0(upper, lower, n)
 
-    for _ in range(cases):  # discriminant equals B^2 - 4AC
+    for _ in range(cases):  # discriminant equals B^2 - 4AC of the paper's quadratic
         lower = _random_fraction(rng)
         upper = lower + _random_fraction(rng)
         n = rng.randint(3, 100)
-        quad = wall_quadratic(upper, lower, n)
-        assert quad.linear**2 - 4 * quad.lead * quad.constant == discriminant(
-            upper, lower, n
-        )
+        lead = 2 * (upper - lower)
+        linear = -(4 * n * upper - 2 * lower + 2 * upper)
+        constant = n * n * (upper + lower) + 2 * n * upper + upper - lower
+        assert linear**2 - 4 * lead * constant == discriminant(upper, lower, n)
 
     for _ in range(cases):  # bisection identity
         trap = _random_trapezoid(rng)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapwall
-from trapwall import cli, geometry
+from trapwall import cli, errors, geometry
 from trapwall.cli import build_parser, main
 from trapwall.party_wall import plan_wall
 from trapwall.wall_solver import solve_k0
@@ -384,6 +384,19 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_every_package_error_has_an_exit_code():
+    # An error the table does not cover would escape main as a traceback.
+    raised = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.TrapwallError)
+        and cls is not errors.TrapwallError
+    ]
+    assert raised
+    for cls in raised:
+        assert any(issubclass(cls, key) for key in cli._EXIT_CODES), cls.__name__
 
 
 def package_env():

@@ -8,7 +8,6 @@ import trapwall
 
 PUBLIC_NAMES = [
     "DomainError",
-    "IrrationalRootsError",
     "NonTerminatingError",
     "ParseError",
     "PlacesExceededError",
@@ -38,20 +37,18 @@ PUBLIC_NAMES = [
     "sqrt_sex",
     "truncate_sex",
     "SearchHit",
-    "WallQuadratic",
     "discriminant",
     "discriminant_kernel",
     "k0_closed_form",
     "search_hits",
     "solve_k0",
     "verify_split",
-    "wall_quadratic",
 ]
 
 
 def test_all_lists_the_public_names():
     assert sorted(trapwall.__all__) == sorted(PUBLIC_NAMES)
-    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 39
+    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 36
     for name in trapwall.__all__:
         assert not isinstance(getattr(trapwall, name), ModuleType)
 

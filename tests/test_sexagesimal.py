@@ -83,6 +83,12 @@ def test_noncanonical_construction_rejected():
         (rational_to_sex, ("1/0", 3), "value"),
         (truncate_sex, ("1;40", 2), "value"),
         (sqrt_sex, ("two", 1), "value"),
+        # Fraction() reads these five; the library reads text as the CLI does.
+        (Trapezoid, ("1_0", 1, 1), "upper width"),
+        (Trapezoid, (20, "١٠", 1), "lower width"),
+        (Trapezoid, (2, 1, "１０"), "height"),
+        (rational_to_sex, ("1.5", 3), "value"),
+        (sqrt_sex, ("1e3", 2), "value"),
     ],
 )
 def test_malformed_text_is_a_parse_error(fn, args, what):
@@ -169,7 +175,7 @@ def test_is_regular_matches_divisor_of_power_of_sixty():
 def test_regular_factorization_reconstructs():
     for m in (1, 2, 8, 225, 14400, 2**10 * 3**7 * 5**4):
         fact = is_regular(m)
-        assert fact is not None and fact.product() == m
+        assert fact is not None and 2**fact.pow2 * 3**fact.pow3 * 5**fact.pow5 == m
 
 
 def test_reciprocal_regular():
@@ -213,10 +219,12 @@ def test_sqrt_sex_rejects_negative():
 
 
 def test_truncate_sex():
-    value, exact = truncate_sex(Fraction(1, 7), 3)
-    assert format_sex(value) == "0;8,34,17" and not exact
-    value, exact = truncate_sex(Fraction(11, 25), 4)
-    assert format_sex(value) == "0;26,24" and exact
+    assert format_sex(truncate_sex(Fraction(1, 7), 3)) == "0;8,34,17"
+    with pytest.raises(NonTerminatingError):
+        rational_to_sex(Fraction(1, 7), 3)
+    value = truncate_sex(Fraction(11, 25), 4)
+    assert format_sex(value) == "0;26,24"
+    assert rational_to_sex(Fraction(11, 25), 4) == value
 
 
 digit = st.integers(min_value=0, max_value=59)

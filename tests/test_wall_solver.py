@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapwall
-from trapwall.errors import DomainError, IrrationalRootsError
+from trapwall.errors import DomainError
 from trapwall.geometry import Trapezoid, check_widths, transversal_at
+from trapwall.party_wall import plan_wall
 from trapwall.sexagesimal import check_int, is_regular
 from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
     SearchHit,
-    WallQuadratic,
     _candidates,
+    _cleared_quadratic,
     _kernel_squares,
     _roots_between,
     discriminant,
@@ -30,7 +31,6 @@ from trapwall.wall_solver import (
     search_hits,
     solve_k0,
     verify_split,
-    wall_quadratic,
 )
 
 TABLE1 = [
@@ -73,25 +73,29 @@ def plain_scan(r_lo, r_hi, n_lo, n_hi, regular_only=False):
 
 
 def fraction_wall_quadratic(upper, lower, n):
-    """wall_quadratic as it was before integer coefficients: the formula in Fractions."""
+    """The paper's wall quadratic as (lead, linear, constant) in Fractions: the tests' own copy."""
     a, b = check_widths(upper, lower)
     if a == b:
         raise DomainError("wall problems need upper > lower > 0")
     check_int(n, "strip count", 3)
-    return WallQuadratic(
-        lead=2 * (a - b),
-        linear=-(4 * n * a - 2 * b + 2 * a),
-        constant=n * n * (a + b) + 2 * n * a + a - b,
+    return (
+        2 * (a - b),
+        -(4 * n * a - 2 * b + 2 * a),
+        n * n * (a + b) + 2 * n * a + a - b,
     )
+
+
+def evaluate(quad, k):
+    """lead * k^2 + linear * k + constant for a (lead, linear, constant) tuple."""
+    lead, linear, constant = quad
+    return lead * k * k + linear * k + constant
 
 
 def fraction_solve_k0(upper, lower, n):
     """The solver that integer coefficients replaced: the Fraction quadratic, cleared by one lcm."""
     quad = fraction_wall_quadratic(upper, lower, n)
-    scale = math.lcm(quad.lead.denominator, quad.linear.denominator, quad.constant.denominator)
-    lead = int(quad.lead * scale)
-    linear = int(quad.linear * scale)
-    constant = int(quad.constant * scale)
+    scale = math.lcm(*(coefficient.denominator for coefficient in quad))
+    lead, linear, constant = (int(coefficient * scale) for coefficient in quad)
     disc = linear * linear - 4 * lead * constant
     root = math.isqrt(disc)
     if root * root != disc:
@@ -123,16 +127,17 @@ def fraction_verify_split(trap, n, k0):
 
 
 def test_wall_quadratic_coefficients():
-    quad = wall_quadratic(5, 1, 10)
-    assert (quad.lead, quad.linear, quad.constant) == (8, -208, 704)
-    assert quad.evaluate(4) == 0 and quad.evaluate(22) == 0
-    quad = wall_quadratic(17, 1, 8)
-    assert (quad.lead, quad.linear, quad.constant) == (32, -576, 1440)
-    assert quad.evaluate(3) == 0 and quad.evaluate(15) == 0
+    # Integer widths need no clearing: the scale is 1.
+    assert _cleared_quadratic(5, 1, 10) == (8, -208, 704, 1)
+    quad = fraction_wall_quadratic(5, 1, 10)
+    assert evaluate(quad, 4) == 0 and evaluate(quad, 22) == 0
+    assert _cleared_quadratic(17, 1, 8) == (32, -576, 1440, 1)
+    quad = fraction_wall_quadratic(17, 1, 8)
+    assert evaluate(quad, 3) == 0 and evaluate(quad, 15) == 0
     with pytest.raises(DomainError):
-        wall_quadratic(1, 1, 5)
+        _cleared_quadratic(1, 1, 5)
     with pytest.raises(DomainError):
-        wall_quadratic(5, 1, 2)
+        _cleared_quadratic(5, 1, 2)
 
 
 def test_discriminant_examples():
@@ -172,15 +177,15 @@ def test_kernel_scales_discriminant():
 def test_k0_closed_form_examples():
     assert k0_closed_form(5, 10) == (4, 22)
     assert k0_closed_form(17, 8) == (3, 15)
-    with pytest.raises(IrrationalRootsError):
+    with pytest.raises(DomainError, match="kernel 89 is not a perfect square"):
         k0_closed_form(2, 3)
 
 
 def test_k0_closed_form_matches_quadratic_roots():
     for r, n, _ in TABLE1:
         low, high = k0_closed_form(r, n)
-        quad = wall_quadratic(r, 1, n)
-        assert quad.evaluate(low) == 0 and quad.evaluate(high) == 0
+        quad = fraction_wall_quadratic(r, 1, n)
+        assert evaluate(quad, low) == 0 and evaluate(quad, high) == 0
         assert low < high
 
 
@@ -429,15 +434,16 @@ def test_solve_k0_agrees_with_exhaustive_oracle():
 @settings(max_examples=300)
 def test_quadratic_discriminant_consistency(lower, delta, n):
     upper = lower + delta
-    quad = wall_quadratic(upper, lower, n)
-    assert quad.linear**2 - 4 * quad.lead * quad.constant == discriminant(upper, lower, n)
+    lead, linear, constant = fraction_wall_quadratic(upper, lower, n)
+    assert linear**2 - 4 * lead * constant == discriminant(upper, lower, n)
 
 
 @given(widths, widths, st.integers(min_value=3, max_value=200))
 @settings(max_examples=300)
 def test_integer_solve_k0_matches_fraction_solver(lower, delta, n):
     upper = lower + delta
-    assert wall_quadratic(upper, lower, n) == fraction_wall_quadratic(upper, lower, n)
+    *cleared, scale = _cleared_quadratic(upper, lower, n)
+    assert tuple(Fraction(c, scale) for c in cleared) == fraction_wall_quadratic(upper, lower, n)
     assert solve_k0(upper, lower, n) == fraction_solve_k0(upper, lower, n)
 
 
@@ -455,10 +461,24 @@ def test_integer_solve_k0_matches_fraction_solver(lower, delta, n):
 def test_integer_solve_k0_refuses_as_the_fraction_solver(upper, lower, n):
     with pytest.raises(DomainError) as fraction:
         fraction_solve_k0(upper, lower, n)
-    for integer_path in (solve_k0, wall_quadratic):
-        with pytest.raises(DomainError) as integer:
-            integer_path(upper, lower, n)
-        assert str(integer.value) == str(fraction.value)
+    with pytest.raises(DomainError) as integer:
+        solve_k0(upper, lower, n)
+    assert str(integer.value) == str(fraction.value)
+
+
+def test_equal_widths_get_one_refusal():
+    # The solver, the planner and the oracle share one check of a wall's widths.
+    trap = Trapezoid(1, 1, 1)
+    refusals = set()
+    for refuse in (
+        lambda: solve_k0(trap.upper, trap.lower, 10),
+        lambda: plan_wall(trap, 10, 4),
+        lambda: verify_split(trap, 10, 4),
+    ):
+        with pytest.raises(DomainError) as caught:
+            refuse()
+        refusals.add(str(caught.value))
+    assert refusals == {"wall problems need upper > lower > 0"}
 
 
 @given(widths, widths, widths, st.integers(min_value=3, max_value=60))
