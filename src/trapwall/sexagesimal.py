@@ -9,6 +9,7 @@ the explicit truncations (`sqrt_sex`, `truncate_sex`).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,21 +176,23 @@ def _places_needed(fact: RegularFactorization) -> int:
 def exact_fraction(value: Rational, what: str) -> Fraction:
     """The argument as a Fraction.
 
-    A float (inexact) or a type Fraction does not read is a DomainError, and
-    text outside RATIONAL_RE, the CLI's grammar ("1_0", "1.5", "1e3"), is a ParseError.
+    Anything but a str or a numbers.Rational (an int or a Fraction, say) is a
+    DomainError, floats and Decimals included, and text outside RATIONAL_RE,
+    the CLI's grammar ("1_0", "1.5", "1e3"), is a ParseError.
     """
-    if isinstance(value, float):
-        raise DomainError(f"{what} must be exact (int, Fraction or string), not float")
-    if isinstance(value, str) and not RATIONAL_RE.match(value.strip()):
-        raise ParseError(f"{what} is not a rational: {value!r}")
-    try:
+    # int and Fraction first: they need no abstract base class lookup.
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{what} is not a rational: {value!r}") from None
-    except TypeError:
-        raise DomainError(
-            f"{what} must be an int, Fraction or string, not {type(value).__name__}"
-        ) from None
+    if isinstance(value, str):
+        if not RATIONAL_RE.match(value.strip()):
+            raise ParseError(f"{what} is not a rational: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ParseError(f"{what} is not a rational: {value!r}") from None
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise DomainError(f"{what} must be an int, Fraction or string, not {type(value).__name__}")
 
 
 def check_int(value: int, what: str, lo: int) -> None:

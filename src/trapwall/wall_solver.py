@@ -29,8 +29,9 @@ from .sexagesimal import check_int, is_regular, isqrt
 # 2,454; 43 and 47 cut them further, but made no scan faster and raise the
 # fixed cost of a small window.
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
-# Values sieved at once. A block caches at most sum(SIEVE_MODULI) masks of
-# SIEVE_BLOCK bits (400 masks, about 230 KB as Python ints) and drops them
+# Values sieved at once. A block tiles the residue patterns of _PATTERNS,
+# ints of m bits built once per process, into at most sum(SIEVE_MODULI) masks
+# of SIEVE_BLOCK bits (400 masks, about 230 KB as Python ints) and drops them
 # before the next block, so memory does not grow with the range.
 SIEVE_BLOCK = 4096
 
@@ -53,12 +54,26 @@ def _kernel_squares(m: int) -> bytes:
     return b"".join(rows)
 
 
-# Row r % m is the residue pattern over n for the ratio r, and column n % m
-# the pattern over r for the strip count n: both repeat with period m. The
-# flags are the digits "0" and "1", so int(pattern[::-1], 2) has bit j = flag j.
-_KERNEL_SQUARES = {
-    m: _kernel_squares(m).translate(bytes.maketrans(b"\0\1", b"01")) for m in SIEVE_MODULI
-}
+def _patterns(m: int) -> tuple[list[int], list[int]]:
+    """The rows and the columns of _kernel_squares(m) as ints of m bits.
+
+    Bit j of rows[i] and bit i of columns[j] are byte i * m + j. Row r % m is
+    the residue pattern over n for the ratio r, column n % m the pattern over r
+    for the strip count n: both repeat with period m.
+    """
+    digits = _kernel_squares(m).translate(bytes.maketrans(b"\0\1", b"01"))
+    transposed = b"".join(digits[j::m] for j in range(m))
+    full = (1 << m) - 1
+    # Bit k of each int is digit k of its table, so row i is bits i * m to i * m + m - 1.
+    rows, columns = (
+        [bits >> i * m & full for i in range(m)]
+        for bits in (int(digits[::-1], 2), int(transposed[::-1], 2))
+    )
+    return rows, columns
+
+
+# (m, rows, columns) for each of SIEVE_MODULI, built once per process.
+_PATTERNS = [(m, *_patterns(m)) for m in SIEVE_MODULI]
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,11 @@ class SearchHit:
     n: int
     k0: int
     n_regular: bool
+
+
+def _integer_quadratic(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """(lead, linear, constant) of the wall quadratic for integer widths a > b > 0."""
+    return 2 * (a - b), -(4 * n * a - 2 * b + 2 * a), n * n * (a + b) + 2 * n * a + a - b
 
 
 def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, int, int, int]:
@@ -82,10 +102,7 @@ def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, i
     scale = math.lcm(a.denominator, b.denominator)
     a = a.numerator * (scale // a.denominator)
     b = b.numerator * (scale // b.denominator)
-    lead = 2 * (a - b)
-    linear = -(4 * n * a - 2 * b + 2 * a)
-    constant = n * n * (a + b) + 2 * n * a + a - b
-    return lead, linear, constant, scale
+    return *_integer_quadratic(a, b, n), scale
 
 
 def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
@@ -102,6 +119,11 @@ def discriminant_kernel(r: int, n: int) -> int:
     return (2 * n * n - 1) * (r * r + 1) + 2 * r
 
 
+def _closed_form(r: int, n: int) -> tuple[int, int]:
+    """(base, den) of the closed-form roots (base -+ sqrt(kernel)) / den."""
+    return (2 * n + 1) * r - 1, 2 * (r - 1)
+
+
 def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
     """Both roots ((2n+1)r - 1 -+ sqrt(kernel)) / (2(r-1)), ascending.
 
@@ -111,8 +133,7 @@ def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
     root, perfect = isqrt(kern)
     if not perfect:
         raise DomainError(f"kernel {kern} is not a perfect square")
-    base = (2 * n + 1) * r - 1
-    den = 2 * (r - 1)
+    base, den = _closed_form(r, n)
     return Fraction(base - root, den), Fraction(base + root, den)
 
 
@@ -129,6 +150,18 @@ def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
     return found
 
 
+def _integer_roots(lead: int, linear: int, constant: int, n: int) -> list[int]:
+    """The integer roots strictly between 1 and n of an integer wall quadratic.
+
+    Callers pass lead > 0 (upper > lower), and then the discriminant is
+    positive (see discriminant): a perfect-square test plus divisibility.
+    """
+    root, perfect = isqrt(linear * linear - 4 * lead * constant)
+    if not perfect:
+        return []
+    return _roots_between(-linear, root, 2 * lead, n)
+
+
 def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     """All integer wall indices strictly between 1 and n solving the quadratic.
 
@@ -137,12 +170,7 @@ def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     discriminant test plus divisibility, with no floating point anywhere.
     """
     lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
-    # Positive: the widths are checked to be upper > lower > 0 (see discriminant).
-    disc = linear * linear - 4 * lead * constant
-    root, perfect = isqrt(disc)
-    if not perfect:
-        return []
-    return _roots_between(-linear, root, 2 * lead, n)
+    return _integer_roots(lead, linear, constant, n)
 
 
 def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
@@ -172,8 +200,9 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     values; the lines across it are the values of the shorter side. A line's
     mask for modulus m has bit i set when value start + i passes modulo m, and
     ANDing the masks leaves the survivors. Every line of a block spans the same
-    values, so the mask for m depends only on the line modulo m: each is built
-    once per block, on first use. Blocks are the outer loop, so the candidates
+    values, so the mask for m depends only on the line modulo m: the block
+    builds it on first use, from that residue's pattern int in _PATTERNS, with
+    one multiply and one shift. Blocks are the outer loop, so the candidates
     do not come in (r, n) order.
     """
     along_n = n_hi - n_lo >= r_hi - r_lo
@@ -184,23 +213,20 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     # A pattern of m bits times repeat is the pattern tiled over more than
     # length + m bits, so it still covers a block after a shift by offset < m.
     length = min(SIEVE_BLOCK, hi - lo + 1)
-    repeats = [((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1) for m in SIEVE_MODULI]
+    sieves = [
+        (m, rows if along_n else columns, ((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1))
+        for m, rows, columns in _PATTERNS
+    ]
     for start in range(lo, hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - start)
-        caches = [
-            (m, table, repeat, start % m, [None] * m)
-            for (m, table), repeat in zip(_KERNEL_SQUARES.items(), repeats)
-        ]
+        caches = [(m, patterns, repeat, start % m, [None] * m) for m, patterns, repeat in sieves]
         for line in lines:
             mask = (1 << size) - 1
-            for m, table, repeat, offset, cache in caches:
+            for m, patterns, repeat, offset, cache in caches:
                 c = line % m
                 part = cache[c]
                 if part is None:
-                    # Row c of the table is the pattern over n when r = c (mod m),
-                    # column c the pattern over r when n = c (mod m).
-                    pattern = table[c * m : c * m + m] if along_n else table[c::m]
-                    part = cache[c] = int(pattern[::-1], 2) * repeat >> offset
+                    part = cache[c] = patterns[c] * repeat >> offset
                 mask &= part
                 # An empty line needs no more masks: small windows build few.
                 if not mask:
@@ -233,12 +259,16 @@ def search_hits(
         root = math.isqrt(kern)
         if root * root != kern:
             continue
-        found = solve_k0(r, 1, n)
-        # Every closed-form root that is an integer in (1, n) must be found.
+        # The window is checked above, so widths r > 1 need no validation here.
+        found = _integer_roots(*_integer_quadratic(r, 1, n), n)
+        # Every closed-form root that is an integer in (1, n) must be found;
+        # the closed form is divided here, not by _roots_between, which found them.
         # Explicit raises, not asserts, so that python -O keeps the checks.
-        for candidate in k0_closed_form(r, n):
-            if candidate.denominator == 1 and 1 < candidate < n and candidate not in found:
-                raise AssertionError(f"root {candidate} lost at r={r}, n={n}")
+        base, den = _closed_form(r, n)
+        for numerator in (base - root, base + root):
+            k0, rem = divmod(numerator, den)
+            if rem == 0 and 1 < k0 < n and k0 not in found:
+                raise AssertionError(f"root {k0} lost at r={r}, n={n}")
         if not found:
             continue
         n_reg = is_regular(n) is not None

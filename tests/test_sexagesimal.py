@@ -1,5 +1,6 @@
 """Unit and property tests for base-60 parsing, formatting and roots."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -108,11 +109,17 @@ def test_malformed_text_is_a_parse_error(fn, args, what):
         (rational_to_sex, (b"1", 2), "value"),
         (truncate_sex, (None, 2), "value"),
         (sqrt_sex, ({}, 1), "value"),
+        # Fraction reads a Decimal, but a Decimal is not a numbers.Rational,
+        # and an infinite one would escape as a bare OverflowError.
+        (Trapezoid, (Decimal("Infinity"), 1, 1), "upper width"),
+        (Trapezoid, (Decimal("NaN"), 1, 1), "upper width"),
+        (Trapezoid, (Decimal("1.5"), 1, 1), "upper width"),
+        (Trapezoid, (2.0, 1, 1), "upper width"),
     ],
 )
 def test_wrong_argument_type_is_a_domain_error(fn, args, what):
-    # Fraction refuses these with a TypeError, which must not escape the
-    # package's own error hierarchy.
+    # Fraction refuses most of these with a TypeError, which must not escape
+    # the package's own error hierarchy.
     with pytest.raises(DomainError, match=f"{what} must be an int, Fraction or string, not "):
         fn(*args)
 

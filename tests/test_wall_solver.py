@@ -20,6 +20,7 @@ from trapwall.sexagesimal import check_int, is_regular
 from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
+    _PATTERNS,
     SearchHit,
     _candidates,
     _cleared_quadratic,
@@ -241,12 +242,12 @@ def test_search_hits_reproduces_table1():
 
 
 def test_search_hits_catches_a_lost_root_under_python_O():
-    # On every perfect-square kernel the scan checks solve_k0 against the
-    # closed-form roots, also under python -O: a solver that finds nothing
-    # makes it raise at the first admissible root instead of returning [].
+    # On every perfect-square kernel the scan checks its integer root core
+    # against the closed-form roots, also under python -O: a core that finds
+    # nothing makes it raise at the first admissible root instead of returning [].
     script = (
         "from trapwall import wall_solver\n"
-        "wall_solver.solve_k0 = lambda upper, lower, n: []\n"
+        "wall_solver._integer_roots = lambda lead, linear, constant, n: []\n"
         "try:\n"
         "    print(wall_solver.search_hits(2, 20, 3, 1000))\n"
         "except AssertionError as exc:\n"
@@ -293,6 +294,16 @@ def test_kernel_square_tables_match_their_definition():
             for j in range(m)
         )
         assert _kernel_squares(m) == direct, m
+    # The sieve's pattern ints, bit by bit: bit j of row i and bit i of column j
+    # are the flag of ratio i and strip count j.
+    for m, rows, columns in _PATTERNS:
+        is_square = {y * y % m for y in range(m)}
+        for i in range(m):
+            for j in range(m):
+                flag = (2 * (i * i + 1) * j * j - (i - 1) ** 2) % m in is_square
+                assert rows[i] >> j & 1 == columns[j] >> i & 1 == flag, (m, i, j)
+        assert max(rows + columns) < 1 << m
+    assert [m for m, _, _ in _PATTERNS] == list(SIEVE_MODULI)
 
 
 def test_sieve_loses_no_case_at_any_offset():
