@@ -28,20 +28,16 @@ from .party_wall import (
 )
 from .sexagesimal import (
     RegularFactorization,
-    SexValue,
-    format_sex,
     is_regular,
     isqrt,
     parse_sex,
     rational_to_sex,
     reciprocal_regular,
-    sex_to_rational,
     sqrt_sex,
     truncate_sex,
 )
 from .wall_solver import (
     SearchHit,
-    discriminant,
     discriminant_kernel,
     k0_closed_form,
     search_hits,

@@ -29,7 +29,6 @@ from .sexagesimal import (
     check_int,
     parse_sex,
     rational_to_sex,
-    sex_to_rational,
     sqrt_sex,
     truncate_sex,
 )
@@ -56,7 +55,7 @@ def parse_value(text: str) -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise ParseError("zero denominator") from None
-    return sex_to_rational(parse_sex(text))
+    return parse_sex(text)
 
 
 def _fixed_point(scaled: int, places: int) -> str:
@@ -81,7 +80,7 @@ def _decimal_sqrt_str(x: Fraction, places: int) -> str:
 def _exact_sex(x: Fraction, places: int = MAX_EXACT_PLACES) -> str | None:
     """x's exact base-60 text within `places` fractional places, or None."""
     try:
-        return str(rational_to_sex(x, places))
+        return rational_to_sex(x, places)
     except (NonTerminatingError, PlacesExceededError):
         return None
 
@@ -111,12 +110,12 @@ def cmd_convert(args: argparse.Namespace) -> int:
     value = parse_value(args.value)
     if args.numeral == "sex" and args.places is None:
         # Nothing asked for a truncation: a value with no exact form is exit 3.
-        sex_text = str(rational_to_sex(value, MAX_EXACT_PLACES))
+        sex_text = rational_to_sex(value, MAX_EXACT_PLACES)
     else:
         sex_text = _exact_sex(value, MAX_EXACT_PLACES if args.places is None else args.places)
     truncated = sex_text is None
     if truncated:
-        sex_text = str(truncate_sex(value, _places(args)))
+        sex_text = truncate_sex(value, _places(args))
     if args.format == "jsonl":
         record = {"rational": str(value), "sexagesimal": sex_text, "truncated": truncated}
         print(json.dumps(record))
@@ -137,7 +136,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
             "d": value_record(result.exact_root) if result.exact_root is not None else None,
             "d_truncated": None
             if result.exact_root is not None
-            else str(sqrt_sex(result.value_sq, _places(args))),
+            else sqrt_sex(result.value_sq, _places(args)),
         }
         print(json.dumps(record))
         return EXIT_OK

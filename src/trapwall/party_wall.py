@@ -13,7 +13,7 @@ from functools import partial
 
 from . import geometry
 from .geometry import Trapezoid
-from .sexagesimal import isqrt, reciprocal_regular, sex_to_rational, sqrt_sex
+from .sexagesimal import isqrt, parse_sex, reciprocal_regular, sqrt_sex
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,11 @@ def scribe_trace_smt26() -> list[TraceStep]:
     sum_sq = step("reverse L8-9", "sum of squares", upper_sq + lower_sq)
     half_sum = step("reverse L9", "half of the sum", sum_sq / 2)
     # The scribe truncates the irrational root to one place and works with
-    # that; for this data the truncation equals the exact wall midline.
+    # the numeral written; for this data it equals the exact wall midline.
     midline = step(
         "reverse L9",
         "square root paced off, truncated to one place",
-        sex_to_rational(sqrt_sex(half_sum, 1)),
+        parse_sex(sqrt_sex(half_sum, 1)),
         truncated=True,
     )
     left_edge = step(

@@ -1,9 +1,12 @@
-"""Exact base-60 numerals: parsing, formatting, regular numbers and square roots.
+"""Exact base-60 numerals: parsing, writing, regular numbers and square roots.
 
-Notation is absolute (not floating): ";" separates the integer part from the
-fractional part and "," separates digits, so "1;12,30" is 1 + 12/60 + 30/3600.
-All conversions are exact rational arithmetic; the only lossy operations are
-the explicit truncations (`sqrt_sex`, `truncate_sex`).
+A numeral is text at the edges and a Fraction inside: parse_sex reads text
+into its exact value, and rational_to_sex, truncate_sex and sqrt_sex write a
+value as canonical text through one digit writer. Notation is absolute (not
+floating): ";" separates the integer part from the fractional part and ","
+separates digits, so "1;12,30" is 1 + 12/60 + 30/3600. All conversions are
+exact rational arithmetic; the only lossy operations are the explicit
+truncations (`sqrt_sex`, `truncate_sex`).
 """
 
 from __future__ import annotations
@@ -33,49 +36,6 @@ RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")  # the text a Rational may 
 _DIGIT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 
 
-@dataclass(frozen=True)
-class SexValue:
-    """A canonical base-60 numeral: sign, integer digits, fractional digits.
-
-    Canonical form: digits in [0, 59]; no leading zero digit in the integer
-    part unless it is exactly (0,); no trailing zero digit in the fraction;
-    zero is sign +1, int_digits (0,), frac_digits ().
-    """
-
-    sign: int
-    int_digits: tuple[int, ...]
-    frac_digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise DomainError("sign must be +1 or -1")
-        if not self.int_digits:
-            raise DomainError("integer part needs at least one digit")
-        for d in self.int_digits + self.frac_digits:
-            if not isinstance(d, int) or not 0 <= d < BASE:
-                raise DomainError(f"digit out of range: {d!r}")
-        if len(self.int_digits) > 1 and self.int_digits[0] == 0:
-            raise DomainError("leading zero digit in integer part")
-        if self.frac_digits and self.frac_digits[-1] == 0:
-            raise DomainError("trailing zero digit in fraction")
-        if self.int_digits == (0,) and not self.frac_digits and self.sign != 1:
-            raise DomainError("zero must carry sign +1")
-
-    def __str__(self) -> str:
-        return format_sex(self)
-
-
-def _canonical(sign: int, int_digits: list[int], frac_digits: list[int]) -> SexValue:
-    """Build a SexValue, normalising away non-canonical zeros."""
-    while len(int_digits) > 1 and int_digits[0] == 0:
-        del int_digits[0]
-    while frac_digits and frac_digits[-1] == 0:
-        del frac_digits[-1]
-    if int_digits == [0] and not frac_digits:
-        sign = 1
-    return SexValue(sign, tuple(int_digits), tuple(frac_digits))
-
-
 def _parse_digit_group(text: str) -> list[int]:
     digits = []
     for token in text.split(","):
@@ -90,47 +50,25 @@ def _parse_digit_group(text: str) -> list[int]:
     return digits
 
 
-def parse_sex(text: str) -> SexValue:
-    """Parse sexagesimal text into a canonical SexValue.
+def parse_sex(text: str) -> Fraction:
+    """The exact value of sexagesimal text.
 
     Grammar: ["-"] digits [";" digits] where digits is a comma-separated list
     of decimal integers in 0..59 without leading zeros ("1;8", not "1;08").
     """
     if not isinstance(text, str) or not text:
         raise ParseError("empty numeral")
-    sign = 1
-    body = text
-    if body.startswith("-"):
-        sign = -1
-        body = body[1:]
-    parts = body.split(";")
+    negative = text.startswith("-")
+    parts = (text[1:] if negative else text).split(";")
     if len(parts) > 2:
         raise ParseError("more than one ';' separator")
     int_digits = _parse_digit_group(parts[0])
     frac_digits = _parse_digit_group(parts[1]) if len(parts) == 2 else []
-    return _canonical(sign, int_digits, frac_digits)
-
-
-def format_sex(value: SexValue) -> str:
-    """Render a SexValue as canonical text; inverse of parse_sex."""
-    text = ",".join(str(d) for d in value.int_digits)
-    if value.frac_digits:
-        text += ";" + ",".join(str(d) for d in value.frac_digits)
-    if value.sign < 0:
-        text = "-" + text
-    return text
-
-
-def sex_to_rational(value: SexValue) -> Fraction:
-    """Exact positional value: sum of int digits over 60^i plus frac digits over 60^-j."""
-    whole = 0
-    for d in value.int_digits:
-        whole = whole * BASE + d
-    frac_num = 0
-    for d in value.frac_digits:
-        frac_num = frac_num * BASE + d
-    result = whole + Fraction(frac_num, BASE ** len(value.frac_digits))
-    return -result if value.sign < 0 else result
+    scaled = 0
+    for d in int_digits + frac_digits:
+        scaled = scaled * BASE + d
+    value = Fraction(scaled, BASE ** len(frac_digits))
+    return -value if negative else value
 
 
 @dataclass(frozen=True)
@@ -201,25 +139,32 @@ def check_int(value: int, what: str, lo: int) -> None:
         raise DomainError(f"{what} must be an integer >= {lo}")
 
 
-def _from_scaled_int(sign: int, scaled: int, frac_places: int) -> SexValue:
-    """SexValue of scaled / 60^frac_places."""
-    frac_digits = []
-    for _ in range(frac_places):
-        frac_digits.append(scaled % BASE)
+def _from_scaled_int(negative: bool, scaled: int, frac_places: int) -> str:
+    """Canonical text of scaled / 60^frac_places, signed when negative: the one digit writer.
+
+    Canonical: no leading zero digit, no trailing zero fractional digit, and
+    zero unsigned, so a negative value that truncates to 0 prints "0".
+    """
+    while frac_places and scaled % BASE == 0:
         scaled //= BASE
-    frac_digits.reverse()
-    int_digits = []
-    while scaled:
-        int_digits.append(scaled % BASE)
-        scaled //= BASE
-    int_digits.reverse()
-    if not int_digits:
-        int_digits = [0]
-    return _canonical(sign, int_digits, frac_digits)
+        frac_places -= 1
+    if not scaled:
+        return "0"
+    digits = []
+    # At least one integer digit, and none past the leading nonzero one.
+    while scaled or len(digits) <= frac_places:
+        scaled, d = divmod(scaled, BASE)
+        digits.append(str(d))
+    digits.reverse()
+    split = len(digits) - frac_places
+    text = ",".join(digits[:split])
+    if frac_places:
+        text += ";" + ",".join(digits[split:])
+    return "-" + text if negative else text
 
 
-def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
-    """Exact base-60 rendering of a rational, or an error when impossible.
+def rational_to_sex(x: Fraction, max_frac_places: int) -> str:
+    """Exact canonical base-60 text of a rational, or an error when impossible.
 
     Raises NonTerminatingError when the reduced denominator is not regular and
     PlacesExceededError when it is regular but needs more than max_frac_places
@@ -227,7 +172,6 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
     """
     check_int(max_frac_places, "max_frac_places", 0)
     x = exact_fraction(x, "value")
-    sign = 1 if x > 0 else -1
     magnitude = abs(x)
     fact = is_regular(magnitude.denominator)
     if fact is None:
@@ -240,17 +184,16 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> SexValue:
             f"needs {places} fractional places, only {max_frac_places} allowed"
         )
     scaled = magnitude.numerator * BASE**places // magnitude.denominator
-    return _from_scaled_int(sign, scaled, places)
+    return _from_scaled_int(x < 0, scaled, places)
 
 
-def truncate_sex(x: Fraction, frac_places: int) -> SexValue:
-    """Truncate a rational toward zero to frac_places base-60 digits."""
+def truncate_sex(x: Fraction, frac_places: int) -> str:
+    """Canonical base-60 text of a rational truncated toward zero to frac_places digits."""
     check_int(frac_places, "frac_places", 0)
     x = exact_fraction(x, "value")
-    sign = 1 if x >= 0 else -1
     magnitude = abs(x)
     scaled = magnitude.numerator * BASE**frac_places // magnitude.denominator
-    return _from_scaled_int(sign, scaled, frac_places)
+    return _from_scaled_int(x < 0, scaled, frac_places)
 
 
 def isqrt(m: int) -> tuple[int, bool]:
@@ -259,11 +202,10 @@ def isqrt(m: int) -> tuple[int, bool]:
     return root, root * root == m
 
 
-def sqrt_sex(x: Fraction, frac_places: int) -> SexValue:
-    """Square root truncated (not rounded) to frac_places base-60 digits.
+def sqrt_sex(x: Fraction, frac_places: int) -> str:
+    """Canonical base-60 text of the square root truncated (not rounded) to frac_places digits.
 
-    Exact whenever the root is rational and representable within the places;
-    trailing zero digits are canonicalised away.
+    Exact whenever the root is rational and representable within the places.
     """
     x = exact_fraction(x, "value")
     if x < 0:
@@ -271,4 +213,4 @@ def sqrt_sex(x: Fraction, frac_places: int) -> SexValue:
     check_int(frac_places, "frac_places", 0)
     # Largest t with (t / 60^p)^2 <= x, i.e. t = floor(sqrt(num*60^2p / den)).
     scaled = math.isqrt(x.numerator * BASE ** (2 * frac_places) // x.denominator)
-    return _from_scaled_int(1, scaled, frac_places)
+    return _from_scaled_int(False, scaled, frac_places)

@@ -13,13 +13,14 @@ drops the (r, n) whose kernel is a non-square modulo small m.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .geometry import Rational, Trapezoid, check_wall_index, check_wall_widths, check_widths
+from .geometry import Rational, Trapezoid, check_wall_index, check_wall_widths
 from .sexagesimal import check_int, is_regular, isqrt
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
@@ -29,10 +30,11 @@ from .sexagesimal import check_int, is_regular, isqrt
 # 2,454; 43 and 47 cut them further, but made no scan faster and raise the
 # fixed cost of a small window.
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
-# Values sieved at once. A block tiles the residue patterns of _PATTERNS,
-# ints of m bits built once per process, into at most sum(SIEVE_MODULI) masks
-# of SIEVE_BLOCK bits (400 masks, about 230 KB as Python ints) and drops them
-# before the next block, so memory does not grow with the range.
+# Values sieved at once. A block tiles the residue patterns of
+# _sieve_patterns(), ints of m bits built on a process's first search, into at
+# most sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits (400 masks, about 230 KB as
+# Python ints) and drops them before the next block, so memory does not grow
+# with the range.
 SIEVE_BLOCK = 4096
 
 
@@ -72,8 +74,10 @@ def _patterns(m: int) -> tuple[list[int], list[int]]:
     return rows, columns
 
 
-# (m, rows, columns) for each of SIEVE_MODULI, built once per process.
-_PATTERNS = [(m, *_patterns(m)) for m in SIEVE_MODULI]
+@functools.cache
+def _sieve_patterns() -> tuple[tuple[int, list[int], list[int]], ...]:
+    """(m, rows, columns) for each of SIEVE_MODULI, built on the first search and kept."""
+    return tuple((m, *_patterns(m)) for m in SIEVE_MODULI)
 
 
 @dataclass(frozen=True)
@@ -103,13 +107,6 @@ def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, i
     a = a.numerator * (scale // a.denominator)
     b = b.numerator * (scale // b.denominator)
     return *_integer_quadratic(a, b, n), scale
-
-
-def discriminant(upper: Rational, lower: Rational, n: int) -> Fraction:
-    """Discriminant 4(2n^2-1)(a^2 + b^2) + 8ab of the wall quadratic; always positive."""
-    a, b = check_widths(upper, lower)
-    check_int(n, "strip count", 2)
-    return 4 * (2 * n * n - 1) * (a * a + b * b) + 8 * a * b
 
 
 def discriminant_kernel(r: int, n: int) -> int:
@@ -154,7 +151,7 @@ def _integer_roots(lead: int, linear: int, constant: int, n: int) -> list[int]:
     """The integer roots strictly between 1 and n of an integer wall quadratic.
 
     Callers pass lead > 0 (upper > lower), and then the discriminant is
-    positive (see discriminant): a perfect-square test plus divisibility.
+    positive (see discriminant_kernel): a perfect-square test plus divisibility.
     """
     root, perfect = isqrt(linear * linear - 4 * lead * constant)
     if not perfect:
@@ -201,8 +198,8 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     mask for modulus m has bit i set when value start + i passes modulo m, and
     ANDing the masks leaves the survivors. Every line of a block spans the same
     values, so the mask for m depends only on the line modulo m: the block
-    builds it on first use, from that residue's pattern int in _PATTERNS, with
-    one multiply and one shift. Blocks are the outer loop, so the candidates
+    builds it on first use, from that residue's pattern int in
+    _sieve_patterns(), with one multiply and one shift. Blocks are the outer loop, so the candidates
     do not come in (r, n) order.
     """
     along_n = n_hi - n_lo >= r_hi - r_lo
@@ -215,7 +212,7 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     length = min(SIEVE_BLOCK, hi - lo + 1)
     sieves = [
         (m, rows if along_n else columns, ((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1))
-        for m, rows, columns in _PATTERNS
+        for m, rows, columns in _sieve_patterns()
     ]
     for start in range(lo, hi + 1, SIEVE_BLOCK):
         size = min(SIEVE_BLOCK, hi + 1 - start)

@@ -1,4 +1,4 @@
-"""Unit and property tests for base-60 parsing, formatting and roots."""
+"""Unit and property tests for base-60 parsing, writing and roots: text in and out, Fractions inside."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -16,17 +16,20 @@ from trapwall.errors import (
 from trapwall.geometry import Trapezoid, transversal_bisector
 from trapwall.sexagesimal import (
     RegularFactorization,
-    SexValue,
-    format_sex,
     is_regular,
     isqrt,
     parse_sex,
     rational_to_sex,
     reciprocal_regular,
-    sex_to_rational,
     sqrt_sex,
     truncate_sex,
 )
+
+
+def positional_value(int_digits, frac_digits):
+    """The sum of int digits times 60^i and frac digits times 60^-j: the tests' own reading."""
+    whole = sum(d * 60**i for i, d in enumerate(reversed(int_digits)))
+    return whole + sum(Fraction(d, 60 ** (j + 1)) for j, d in enumerate(frac_digits))
 
 
 @pytest.mark.parametrize(
@@ -42,7 +45,8 @@ from trapwall.sexagesimal import (
 )
 def test_parse_examples(text, sign, int_digits, frac_digits):
     value = parse_sex(text)
-    assert value == SexValue(sign, int_digits, frac_digits)
+    assert value == sign * positional_value(int_digits, frac_digits)
+    assert rational_to_sex(value, 20) == text
 
 
 @pytest.mark.parametrize(
@@ -54,24 +58,37 @@ def test_parse_rejects_malformed(text):
         parse_sex(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty numeral"),
+        ("-", "empty digit group"),
+        (";40", "empty digit group"),
+        ("1;", "empty digit group"),
+        ("1,,2", "empty digit group"),
+        ("1;08", "malformed digit '08'"),
+        ("1:40", "malformed digit '1:40'"),
+        ("60", "digit 60 exceeds 59"),
+        ("1;60", "digit 60 exceeds 59"),
+        ("1;2;3", "more than one ';' separator"),
+        # The integer part is read before the fraction.
+        ("1,,2;60", "empty digit group"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_sex(text)
+    assert str(exc.value) == message
+
+
 def test_parse_canonicalises():
-    assert parse_sex("0,30") == SexValue(1, (30,), ())
-    assert parse_sex("1;30,0") == SexValue(1, (1,), (30,))
-    assert parse_sex("-0") == SexValue(1, (0,), ())
-    assert parse_sex("0;0") == SexValue(1, (0,), ())
-
-
-def test_noncanonical_construction_rejected():
-    with pytest.raises(DomainError):
-        SexValue(1, (0, 30), ())
-    with pytest.raises(DomainError):
-        SexValue(1, (1,), (30, 0))
-    with pytest.raises(DomainError):
-        SexValue(-1, (0,), ())
-    with pytest.raises(DomainError):
-        SexValue(1, (60,), ())
-    with pytest.raises(DomainError):
-        SexValue(1, (), ())
+    # Non-canonical text reads as its value and is written back canonical:
+    # no leading zero digit, no trailing zero digit, and zero unsigned.
+    assert parse_sex("0,30") == Fraction(30) and rational_to_sex(parse_sex("0,30"), 20) == "30"
+    assert parse_sex("1;30,0") == Fraction(3, 2) and rational_to_sex(parse_sex("1;30,0"), 20) == "1;30"
+    for zero in ("-0", "0;0"):
+        assert parse_sex(zero) == 0 and rational_to_sex(parse_sex(zero), 20) == "0"
+    assert truncate_sex(Fraction(-1, 7200), 1) == "0"
 
 
 @pytest.mark.parametrize(
@@ -135,7 +152,7 @@ def test_wrong_argument_type_is_a_domain_error(fn, args, what):
     ],
 )
 def test_sex_to_rational(text, value):
-    assert sex_to_rational(parse_sex(text)) == value
+    assert parse_sex(text) == value
 
 
 @pytest.mark.parametrize(
@@ -151,7 +168,7 @@ def test_sex_to_rational(text, value):
     ],
 )
 def test_rational_to_sex(value, places, text):
-    assert format_sex(rational_to_sex(value, places)) == text
+    assert rational_to_sex(value, places) == text
 
 
 def test_rational_to_sex_errors():
@@ -217,7 +234,7 @@ def test_isqrt_exhaustive_floor_contract():
     ],
 )
 def test_sqrt_sex(value, places, text):
-    assert format_sex(sqrt_sex(value, places)) == text
+    assert sqrt_sex(value, places) == text
 
 
 def test_sqrt_sex_rejects_negative():
@@ -226,12 +243,13 @@ def test_sqrt_sex_rejects_negative():
 
 
 def test_truncate_sex():
-    assert format_sex(truncate_sex(Fraction(1, 7), 3)) == "0;8,34,17"
+    assert truncate_sex(Fraction(1, 7), 3) == "0;8,34,17"
+    assert truncate_sex(Fraction(-1, 7), 3) == "-0;8,34,17"
     with pytest.raises(NonTerminatingError):
         rational_to_sex(Fraction(1, 7), 3)
-    value = truncate_sex(Fraction(11, 25), 4)
-    assert format_sex(value) == "0;26,24"
-    assert rational_to_sex(Fraction(11, 25), 4) == value
+    text = truncate_sex(Fraction(11, 25), 4)
+    assert text == "0;26,24"
+    assert rational_to_sex(Fraction(11, 25), 4) == text
 
 
 digit = st.integers(min_value=0, max_value=59)
@@ -239,6 +257,7 @@ digit = st.integers(min_value=0, max_value=59)
 
 @st.composite
 def canonical_sex(draw):
+    """(text, sign, integer digits, fractional digits) of a canonical numeral."""
     int_digits = draw(st.lists(digit, min_size=1, max_size=4))
     frac_digits = draw(st.lists(digit, min_size=0, max_size=4))
     sign = draw(st.sampled_from([1, -1]))
@@ -248,17 +267,31 @@ def canonical_sex(draw):
         del frac_digits[-1]
     if int_digits == [0] and not frac_digits:
         sign = 1
-    return SexValue(sign, tuple(int_digits), tuple(frac_digits))
+    text = ",".join(map(str, int_digits))
+    if frac_digits:
+        text += ";" + ",".join(map(str, frac_digits))
+    if sign < 0:
+        text = "-" + text
+    return text, sign, int_digits, frac_digits
 
 
 @given(canonical_sex())
-def test_format_parse_round_trip(value):
-    assert parse_sex(format_sex(value)) == value
+def test_format_parse_round_trip(numeral):
+    text = numeral[0]
+    assert rational_to_sex(parse_sex(text), 20) == text
 
 
 @given(canonical_sex())
-def test_positional_round_trip(value):
-    assert rational_to_sex(sex_to_rational(value), len(value.frac_digits)) == value
+def test_positional_round_trip(numeral):
+    # The value is the digits' positional sum, and it needs exactly as many
+    # fractional places as the text has fractional digits.
+    text, sign, int_digits, frac_digits = numeral
+    value = parse_sex(text)
+    assert value == sign * positional_value(int_digits, frac_digits)
+    assert rational_to_sex(value, len(frac_digits)) == text
+    if frac_digits:
+        with pytest.raises(PlacesExceededError):
+            rational_to_sex(value, len(frac_digits) - 1)
 
 
 @st.composite
@@ -272,7 +305,7 @@ def regular_rationals(draw):
 
 @given(regular_rationals())
 def test_rational_round_trip(x):
-    assert sex_to_rational(rational_to_sex(x, 20)) == x
+    assert parse_sex(rational_to_sex(x, 20)) == x
 
 
 @given(
@@ -282,7 +315,7 @@ def test_rational_round_trip(x):
 @settings(max_examples=200)
 def test_sqrt_sex_truncation_bounds(x, places):
     # Compare by squaring: truncation <= sqrt(x) < truncation + 60^-places.
-    approx = sex_to_rational(sqrt_sex(x, places))
+    approx = parse_sex(sqrt_sex(x, places))
     step = Fraction(1, 60**places)
     assert approx * approx <= x
     assert (approx + step) * (approx + step) > x

@@ -20,13 +20,12 @@ from trapwall.sexagesimal import check_int, is_regular
 from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
-    _PATTERNS,
     SearchHit,
     _candidates,
     _cleared_quadratic,
     _kernel_squares,
     _roots_between,
-    discriminant,
+    _sieve_patterns,
     discriminant_kernel,
     k0_closed_form,
     search_hits,
@@ -86,6 +85,17 @@ def fraction_wall_quadratic(upper, lower, n):
     )
 
 
+def paper_discriminant(a, b, n):
+    """4(2n^2 - 1)(a^2 + b^2) + 8ab, the wall quadratic's discriminant in the paper: the tests' own copy."""
+    return 4 * (2 * n * n - 1) * (a * a + b * b) + 8 * a * b
+
+
+def cleared_discriminant(upper, lower, n):
+    """linear^2 - 4 lead constant of the solver's cleared integer quadratic."""
+    lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
+    return linear * linear - 4 * lead * constant
+
+
 def evaluate(quad, k):
     """lead * k^2 + linear * k + constant for a (lead, linear, constant) tuple."""
     lead, linear, constant = quad
@@ -142,15 +152,13 @@ def test_wall_quadratic_coefficients():
 
 
 def test_discriminant_examples():
-    assert discriminant(5, 1, 10) == 20736 == 144**2
-    assert discriminant(1, 1, 2) == 64
-    assert discriminant(17, 1, 8) == 147456 == 384**2
-    with pytest.raises(DomainError):
-        discriminant(0, 1, 5)
-    with pytest.raises(DomainError):
-        discriminant(2, 1, 1)
-    with pytest.raises(DomainError):  # upper < lower, refused as every width function does
-        discriminant(1, 5, 10)
+    # Integer widths need no clearing, so the solver's discriminant is the paper's.
+    assert cleared_discriminant(5, 1, 10) == paper_discriminant(5, 1, 10) == 20736 == 144**2
+    assert cleared_discriminant(17, 1, 8) == paper_discriminant(17, 1, 8) == 147456 == 384**2
+    # Widths with denominators: the cleared discriminant is scale^2 times the paper's.
+    assert cleared_discriminant(Fraction(5, 3), Fraction(1, 3), 10) == 9 * paper_discriminant(
+        Fraction(5, 3), Fraction(1, 3), 10
+    ) == 20736
 
 
 def test_discriminant_kernel_examples():
@@ -166,13 +174,13 @@ def test_discriminant_kernel_examples():
 def test_discriminant_positivity_grid():
     for r in range(2, 51):
         for n in range(3, 201):
-            assert discriminant(r, 1, n) > 0
+            assert cleared_discriminant(r, 1, n) > 0
 
 
 def test_kernel_scales_discriminant():
     for r, n in ((5, 10), (2, 3), (17, 8), (7, 19)):
         for b in (1, 2, Fraction(1, 3), Fraction(7, 5)):
-            assert discriminant(r * Fraction(b), Fraction(b), n) == 4 * Fraction(b) ** 2 * discriminant_kernel(r, n)
+            assert paper_discriminant(r * Fraction(b), Fraction(b), n) == 4 * Fraction(b) ** 2 * discriminant_kernel(r, n)
 
 
 def test_k0_closed_form_examples():
@@ -241,6 +249,23 @@ def test_search_hits_reproduces_table1():
     assert run.stdout.splitlines() == [repr(TABLE1), "rejected"]
 
 
+def test_only_a_search_builds_the_sieve_patterns():
+    # Importing the CLI and converting a numeral builds no pattern; the first
+    # search builds all of them once, and the next search reuses them.
+    script = (
+        "from trapwall import cli, wall_solver\n"
+        "built = wall_solver._sieve_patterns.cache_info\n"
+        "print(cli.main(['convert', '5/3']), built().misses)\n"
+        "wall_solver.search_hits(5, 5, 10, 10)\n"
+        "wall_solver.search_hits(2, 20, 3, 40)\n"
+        "print(built().misses, built().hits)\n"
+    )
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines() == ["1;40", "0 0", "1 1"]
+
+
 def test_search_hits_catches_a_lost_root_under_python_O():
     # On every perfect-square kernel the scan checks its integer root core
     # against the closed-form roots, also under python -O: a core that finds
@@ -296,14 +321,14 @@ def test_kernel_square_tables_match_their_definition():
         assert _kernel_squares(m) == direct, m
     # The sieve's pattern ints, bit by bit: bit j of row i and bit i of column j
     # are the flag of ratio i and strip count j.
-    for m, rows, columns in _PATTERNS:
+    for m, rows, columns in _sieve_patterns():
         is_square = {y * y % m for y in range(m)}
         for i in range(m):
             for j in range(m):
                 flag = (2 * (i * i + 1) * j * j - (i - 1) ** 2) % m in is_square
                 assert rows[i] >> j & 1 == columns[j] >> i & 1 == flag, (m, i, j)
         assert max(rows + columns) < 1 << m
-    assert [m for m, _, _ in _PATTERNS] == list(SIEVE_MODULI)
+    assert [m for m, _, _ in _sieve_patterns()] == list(SIEVE_MODULI)
 
 
 def test_sieve_loses_no_case_at_any_offset():
@@ -446,7 +471,7 @@ def test_solve_k0_agrees_with_exhaustive_oracle():
 def test_quadratic_discriminant_consistency(lower, delta, n):
     upper = lower + delta
     lead, linear, constant = fraction_wall_quadratic(upper, lower, n)
-    assert linear**2 - 4 * lead * constant == discriminant(upper, lower, n)
+    assert linear**2 - 4 * lead * constant == paper_discriminant(upper, lower, n)
 
 
 @given(widths, widths, st.integers(min_value=3, max_value=200))
