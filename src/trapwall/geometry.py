@@ -9,7 +9,8 @@ the caller's business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError
@@ -40,29 +41,28 @@ def _index_pair(k: int, n: int) -> None:
         raise DomainError(f"need n >= 1 and 0 <= k <= n, got k={k}, n={n}")
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class Trapezoid(namedtuple("Trapezoid", "upper lower height")):
     """Widths and height of a trapezoid: upper >= lower > 0, height > 0."""
 
-    upper: Fraction
-    lower: Fraction
-    height: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        upper, lower = check_widths(self.upper, self.lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "height", exact_fraction(self.height, "height"))
-        if self.height <= 0:
+    def __new__(cls, upper: Rational, lower: Rational, height: Rational) -> "Trapezoid":
+        upper, lower = check_widths(upper, lower)
+        height = exact_fraction(height, "height")
+        if height <= 0:
             raise DomainError("height must be positive")
+        return super().__new__(cls, upper, lower, height)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Rational]) -> "Trapezoid":
+        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QuadraticLength:
+class QuadraticLength(namedtuple("QuadraticLength", "value_sq exact_root")):
     """A length stored exactly as its square, with the root when rational."""
 
-    value_sq: Fraction
-    exact_root: Fraction | None
+    __slots__ = ()
 
     @classmethod
     def from_square(cls, value_sq: Fraction) -> "QuadraticLength":

@@ -7,7 +7,7 @@ approximate step on the tablet (the truncated square root) is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -16,31 +16,23 @@ from .geometry import Trapezoid
 from .sexagesimal import isqrt, parse_sex, reciprocal_regular, sqrt_sex
 
 
-@dataclass(frozen=True)
-class PartyWallPlan:
+class PartyWallPlan(
+    namedtuple(
+        "PartyWallPlan",
+        "left_edge right_edge midline edge_diff wall_thickness"
+        " left_height right_height left_area wall_area right_area",
+    )
+):
     """A solved division: wall edges, midline, heights and the three areas."""
 
-    left_edge: Fraction
-    right_edge: Fraction
-    midline: Fraction
-    edge_diff: Fraction
-    wall_thickness: Fraction
-    left_height: Fraction
-    right_height: Fraction
-    left_area: Fraction
-    wall_area: Fraction
-    right_area: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "label description value truncated", defaults=(False,))):
     """One tablet computation: line label, what it does, its exact value, and
     whether the scribe truncated it. The value is never text: the CLI renders it."""
 
-    label: str
-    description: str
-    value: Fraction
-    truncated: bool = False
+    __slots__ = ()
 
 
 # SMT No. 26's reverse problem as (trapezoid, strip count, wall index): widths
@@ -129,8 +121,8 @@ def scribe_trace_smt26() -> list[TraceStep]:
     step("check", "S_left + S_wall + S_right", left_area + wall_area + right_area)
     # The plan with the scribe's values put in must be the plan itself: an
     # explicit raise, not an assert, so that python -O keeps the check.
-    scribe = replace(
-        plan, midline=midline, left_edge=left_edge, right_edge=right_edge,
+    scribe = plan._replace(
+        midline=midline, left_edge=left_edge, right_edge=right_edge,
         wall_area=wall_area, right_area=right_area, left_area=left_area,
     )
     if scribe != plan:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -71,13 +71,10 @@ def parse_sex(text: str) -> Fraction:
     return -value if negative else value
 
 
-@dataclass(frozen=True)
-class RegularFactorization:
+class RegularFactorization(namedtuple("RegularFactorization", "pow2 pow3 pow5")):
     """Exponents of 2, 3 and 5 whose product reconstructs the integer exactly."""
 
-    pow2: int
-    pow3: int
-    pow5: int
+    __slots__ = ()
 
 
 def is_regular(m: int) -> RegularFactorization | None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -80,14 +80,10 @@ def _sieve_patterns() -> tuple[tuple[int, list[int], list[int]], ...]:
     return tuple((m, *_patterns(m)) for m in SIEVE_MODULI)
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(namedtuple("SearchHit", "r n k0 n_regular")):
     """An admissible triple: width ratio r, strip count n, wall index k0."""
 
-    r: int
-    n: int
-    k0: int
-    n_regular: bool
+    __slots__ = ()
 
 
 def _integer_quadratic(a: int, b: int, n: int) -> tuple[int, int, int]:
@@ -275,7 +271,7 @@ def search_hits(
             if not verify_split(Trapezoid(r, 1, 1), n, k0):
                 raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
             hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))
-    # The sieve yields block by block, and along r in (n, r) order: the sort
-    # restores (r, n) order, and being stable keeps the k0 of one (r, n) ascending.
-    hits.sort(key=lambda hit: (hit.r, hit.n))
+    # The sieve yields block by block, and along r in (n, r) order: sorting the
+    # hits as tuples restores (r, n, k0) order.
+    hits.sort()
     return hits

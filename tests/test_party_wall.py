@@ -216,12 +216,11 @@ def test_traces_check_their_results_against_the_library_under_python_O():
     # right share among them, and the obverse trace compares its root with
     # geometry's exact transversal: a mismatch raises, also under python -O.
     script = (
-        "from dataclasses import replace\n"
         "from trapwall import party_wall\n"
         "plan_wall = party_wall.plan_wall\n"
         "def skewed(*args):\n"
         "    plan = plan_wall(*args)\n"
-        "    return replace(plan, right_area=plan.right_area + 1)\n"
+        "    return plan._replace(right_area=plan.right_area + 1)\n"
         "party_wall.plan_wall = skewed\n"
         "party_wall.isqrt = lambda m: (51, True)\n"
         "for trace in (party_wall.scribe_trace_smt26, party_wall.scribe_trace_obverse1):\n"
