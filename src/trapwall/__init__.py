@@ -38,8 +38,6 @@ from .sexagesimal import (
 )
 from .wall_solver import (
     SearchHit,
-    discriminant_kernel,
-    k0_closed_form,
     search_hits,
     solve_k0,
     verify_split,

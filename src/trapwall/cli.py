@@ -25,7 +25,6 @@ from .errors import (
 from .party_wall import PartyWallPlan
 from .sexagesimal import (
     MAX_EXACT_PLACES,
-    RATIONAL_RE,
     check_int,
     parse_sex,
     rational_to_sex,
@@ -42,7 +41,9 @@ EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process that 
 
 DEFAULT_PLACES = 5
 
-# Integer arguments take the ASCII digits that values do, not all that int() reads.
+# Values that are not numerals are p/q or an integer in ASCII digits, and integer
+# arguments take the same digits: not all that Fraction() and int() read.
+RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _NEGATIVE_RE = re.compile(r"-[0-9]")
 
@@ -108,8 +109,9 @@ def value_record(x: Fraction) -> dict:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     value = parse_value(args.value)
-    if args.numeral == "sex" and args.places is None:
-        # Nothing asked for a truncation: a value with no exact form is exit 3.
+    if args.places is None and (args.numeral == "sex" or args.format == "jsonl"):
+        # Nothing asked for a truncation, and JSONL prints the base-60 text
+        # whatever --numeral says: a value with no exact form is exit 3.
         sex_text = rational_to_sex(value, MAX_EXACT_PLACES)
     else:
         sex_text = _exact_sex(value, MAX_EXACT_PLACES if args.places is None else args.places)

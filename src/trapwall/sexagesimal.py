@@ -29,8 +29,7 @@ BASE = 60
 # layers truncate it or refuse it.
 MAX_EXACT_PLACES = 20
 
-Rational = Fraction | int | str
-RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")  # the text a Rational may be
+Rational = Fraction | int
 
 # A digit renders as a plain decimal integer with no zero padding.
 _DIGIT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
@@ -111,23 +110,14 @@ def _places_needed(fact: RegularFactorization) -> int:
 def exact_fraction(value: Rational, what: str) -> Fraction:
     """The argument as a Fraction.
 
-    Anything but a str or a numbers.Rational (an int or a Fraction, say) is a
-    DomainError, floats and Decimals included, and text outside RATIONAL_RE,
-    the CLI's grammar ("1_0", "1.5", "1e3"), is a ParseError.
+    Anything but a numbers.Rational (an int or a Fraction, say) is a
+    DomainError: text, floats and Decimals included. Text is read at the
+    edges, by parse_sex and the CLI.
     """
     # int and Fraction first: they need no abstract base class lookup.
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) or isinstance(value, numbers.Rational):
         return Fraction(value)
-    if isinstance(value, str):
-        if not RATIONAL_RE.match(value.strip()):
-            raise ParseError(f"{what} is not a rational: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"{what} is not a rational: {value!r}") from None
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    raise DomainError(f"{what} must be an int, Fraction or string, not {type(value).__name__}")
+    raise DomainError(f"{what} must be an int or Fraction, not {type(value).__name__}")
 
 
 def check_int(value: int, what: str, lo: int) -> None:

@@ -17,9 +17,7 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 
-from .errors import DomainError
 from .geometry import Rational, Trapezoid, check_wall_index, check_wall_widths
 from .sexagesimal import check_int, is_regular, isqrt
 
@@ -47,7 +45,8 @@ def _kernel_squares(m: int) -> bytes:
     n_squares = bytes([j * j % m for j in range(m)])
     rows = []
     for i in range(m):
-        # kernel = 2(i^2 + 1) q - (i - 1)^2 with q = j^2 mod m: byte q of the
+        # kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r = 2(r^2 + 1) n^2 - (r - 1)^2,
+        # so kernel = 2(i^2 + 1) q - (i - 1)^2 with q = j^2 mod m: byte q of the
         # extended slice is the residue flag of that kernel, for q < m. A step
         # of 0 mod m is taken as m, which lands on the same residue each time.
         step, start = 2 * (i * i + 1) % m or m, -((i - 1) ** 2) % m
@@ -105,29 +104,9 @@ def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, i
     return *_integer_quadratic(a, b, n), scale
 
 
-def discriminant_kernel(r: int, n: int) -> int:
-    """(2n^2 - 1)(r^2 + 1) + 2r; the discriminant at a = r*b is 4 b^2 times this."""
-    check_int(r, "ratio", 2)
-    check_int(n, "strip count", 3)
-    return (2 * n * n - 1) * (r * r + 1) + 2 * r
-
-
 def _closed_form(r: int, n: int) -> tuple[int, int]:
     """(base, den) of the closed-form roots (base -+ sqrt(kernel)) / den."""
     return (2 * n + 1) * r - 1, 2 * (r - 1)
-
-
-def k0_closed_form(r: int, n: int) -> tuple[Fraction, Fraction]:
-    """Both roots ((2n+1)r - 1 -+ sqrt(kernel)) / (2(r-1)), ascending.
-
-    Raises DomainError unless the kernel is a perfect square, the form's precondition.
-    """
-    kern = discriminant_kernel(r, n)
-    root, perfect = isqrt(kern)
-    if not perfect:
-        raise DomainError(f"kernel {kern} is not a perfect square")
-    base, den = _closed_form(r, n)
-    return Fraction(base - root, den), Fraction(base + root, den)
 
 
 def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
@@ -147,7 +126,7 @@ def _integer_roots(lead: int, linear: int, constant: int, n: int) -> list[int]:
     """The integer roots strictly between 1 and n of an integer wall quadratic.
 
     Callers pass lead > 0 (upper > lower), and then the discriminant is
-    positive (see discriminant_kernel): a perfect-square test plus divisibility.
+    positive (a positive multiple of kernel(a/b, n)): a perfect-square test plus divisibility.
     """
     root, perfect = isqrt(linear * linear - 4 * lead * constant)
     if not perfect:

@@ -124,6 +124,19 @@ def test_convert_jsonl(capsys):
     assert record == {"rational": "5/3", "sexagesimal": "1;40", "truncated": False}
 
 
+@pytest.mark.parametrize(
+    "numeral", [[], ["--numeral", "sex"], ["--numeral", "rat"], ["--numeral", "dec"]], ids=lambda argv: " ".join(argv) or "default"
+)
+def test_convert_jsonl_truncates_only_with_places(capsys, numeral):
+    # A JSONL record carries the base-60 text whatever --numeral says, so only
+    # --places asks for a truncated one; without it no exact form is exit 3.
+    argv = ["convert", "1/7", "--format", "jsonl", *numeral]
+    assert run_cli(capsys, *argv) == (3, "", "error: denominator 7 is not regular\n")
+    code, out, err = run_cli(capsys, *argv, "--places", "5")
+    assert code == 0 and err == ""
+    assert jsonl_records(out) == [{"rational": "1/7", "sexagesimal": "0;8,34,17,8,34", "truncated": True}]
+
+
 def test_bisect_exact(capsys):
     code, out, _ = run_cli(capsys, "bisect", "35", "5")
     assert code == 0
@@ -216,6 +229,13 @@ def test_integer_arguments_take_ascii_digits_only(capsys, argv, refusal):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1] == f"trapwall {argv[0]}: error: {refusal}"
+
+
+@pytest.mark.parametrize("text", ["1_0", "1e3", ARABIC_TEN, WIDE_TEN])
+def test_values_take_ascii_digits_only(capsys, text):
+    # Fraction() reads each of these; a value is p/q, an integer or a numeral.
+    for argv in (["convert", text], ["wall", text, "1", "1", "10"]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: malformed digit {text!r}\n")
 
 
 @pytest.mark.parametrize("text", ["+10", "010", " 10 "])

@@ -2,6 +2,9 @@
 importing its CLI loads, and the contract of its result records."""
 
 import ast
+import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -51,8 +54,6 @@ PUBLIC_NAMES = [
     "sqrt_sex",
     "truncate_sex",
     "SearchHit",
-    "discriminant_kernel",
-    "k0_closed_form",
     "search_hits",
     "solve_k0",
     "verify_split",
@@ -61,7 +62,7 @@ PUBLIC_NAMES = [
 
 def test_all_lists_the_public_names():
     assert sorted(trapwall.__all__) == sorted(PUBLIC_NAMES)
-    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 32
+    assert len(trapwall.__all__) == len(set(trapwall.__all__)) == 30
     for name in trapwall.__all__:
         assert not isinstance(getattr(trapwall, name), ModuleType)
 
@@ -87,6 +88,20 @@ def test_library_has_no_assert_and_no_float():
                 assert node.value.id != "math" or node.attr in allowed_math, where
             if isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert {alias.name for alias in node.names} <= allowed_math, where
+
+
+def test_every_per_layer_benchmark_metric_names_a_public_function():
+    # The benchmark's tracer wraps each public function that a layer module
+    # defines, as "layer.function"; a metric "layer.function.stat" whose
+    # function went or was renamed would silently measure nothing.
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    named = [metric["name"].split(".")[:2] for metric in spec["per_layer"] if metric["name"].count(".") == 2]
+    assert named
+    for layer, name in named:
+        module = importlib.import_module(f"trapwall.{layer}")
+        function = vars(module).get(name)
+        assert not name.startswith("_") and inspect.isfunction(function), f"{layer}.{name}"
+        assert function.__module__ == module.__name__, f"{layer}.{name}"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -191,5 +206,5 @@ def test_every_way_of_making_a_trapezoid_checks_it(widths_and_height, message):
     for make in makers:
         with pytest.raises(DomainError, match=message):
             make()
-    assert Trapezoid._make(["5/3", Fraction(1, 3), 1]) == SMT26
+    assert Trapezoid._make([Fraction(5, 3), Fraction(1, 3), 1]) == SMT26
     assert SMT26._replace(height=2) == (Fraction(5, 3), Fraction(1, 3), 2)

@@ -1,5 +1,6 @@
 """Unit and property tests for base-60 parsing, writing and roots: text in and out, Fractions inside."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -94,31 +95,6 @@ def test_parse_canonicalises():
 @pytest.mark.parametrize(
     "fn,args,what",
     [
-        (Trapezoid, ("x", 1, 1), "upper width"),
-        (Trapezoid, (2, 1, "1/0"), "height"),
-        (transversal_bisector, ("abc", 1), "upper width"),
-        (transversal_bisector, (2, ""), "lower width"),
-        (rational_to_sex, ("1/0", 3), "value"),
-        (truncate_sex, ("1;40", 2), "value"),
-        (sqrt_sex, ("two", 1), "value"),
-        # Fraction() reads these five; the library reads text as the CLI does.
-        (Trapezoid, ("1_0", 1, 1), "upper width"),
-        (Trapezoid, (20, "١٠", 1), "lower width"),
-        (Trapezoid, (2, 1, "１０"), "height"),
-        (rational_to_sex, ("1.5", 3), "value"),
-        (sqrt_sex, ("1e3", 2), "value"),
-    ],
-)
-def test_malformed_text_is_a_parse_error(fn, args, what):
-    # Library functions read text as p/q or an integer; anything else must not
-    # escape as a bare ValueError or ZeroDivisionError.
-    with pytest.raises(ParseError, match=what):
-        fn(*args)
-
-
-@pytest.mark.parametrize(
-    "fn,args,what",
-    [
         (Trapezoid, (None, 1, 1), "upper width"),
         (Trapezoid, (2, 1, [1]), "height"),
         (transversal_bisector, ([1], 1), "upper width"),
@@ -132,12 +108,30 @@ def test_malformed_text_is_a_parse_error(fn, args, what):
         (Trapezoid, (Decimal("NaN"), 1, 1), "upper width"),
         (Trapezoid, (Decimal("1.5"), 1, 1), "upper width"),
         (Trapezoid, (2.0, 1, 1), "upper width"),
+        # Text is read at the edges (parse_sex, the CLI), never by the library:
+        # well-formed p/q and numerals included, and what Fraction() reads.
+        (Trapezoid, ("x", 1, 1), "upper width"),
+        (Trapezoid, (2, 1, "1/0"), "height"),
+        (transversal_bisector, ("abc", 1), "upper width"),
+        (transversal_bisector, (2, ""), "lower width"),
+        (rational_to_sex, ("1/0", 3), "value"),
+        (truncate_sex, ("1;40", 2), "value"),
+        (sqrt_sex, ("two", 1), "value"),
+        (Trapezoid, ("1_0", 1, 1), "upper width"),
+        (Trapezoid, (20, "\u0661\u0660", 1), "lower width"),
+        (Trapezoid, (2, 1, "\uff11\uff10"), "height"),
+        (rational_to_sex, ("1.5", 3), "value"),
+        (sqrt_sex, ("1e3", 2), "value"),
+        (Trapezoid, ("5/3", Fraction(1, 3), 1), "upper width"),
+        (rational_to_sex, ("5/3", 2), "value"),
     ],
 )
 def test_wrong_argument_type_is_a_domain_error(fn, args, what):
-    # Fraction refuses most of these with a TypeError, which must not escape
-    # the package's own error hierarchy.
-    with pytest.raises(DomainError, match=f"{what} must be an int, Fraction or string, not "):
+    # Fraction refuses most of these with a TypeError and reads the text,
+    # neither of which may pass: the refusal names the argument and its type.
+    bad = next(arg for arg in args if not isinstance(arg, (int, Fraction)))
+    message = f"{what} must be an int or Fraction, not {type(bad).__name__}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         fn(*args)
 
 

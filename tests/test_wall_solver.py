@@ -23,11 +23,10 @@ from trapwall.wall_solver import (
     SearchHit,
     _candidates,
     _cleared_quadratic,
+    _closed_form,
     _kernel_squares,
     _roots_between,
     _sieve_patterns,
-    discriminant_kernel,
-    k0_closed_form,
     search_hits,
     solve_k0,
     verify_split,
@@ -88,6 +87,22 @@ def fraction_wall_quadratic(upper, lower, n):
 def paper_discriminant(a, b, n):
     """4(2n^2 - 1)(a^2 + b^2) + 8ab, the wall quadratic's discriminant in the paper: the tests' own copy."""
     return 4 * (2 * n * n - 1) * (a * a + b * b) + 8 * a * b
+
+
+def paper_kernel(r, n):
+    """(2n^2 - 1)(r^2 + 1) + 2r: the discriminant at widths r*b and b over 4 b^2, the tests' own copy."""
+    return (2 * n * n - 1) * (r * r + 1) + 2 * r
+
+
+def paper_closed_form(r, n):
+    """Both roots ((2n+1)r - 1 -+ sqrt(kernel)) / (2(r-1)), ascending: the tests' own copy.
+
+    The kernel must be a perfect square.
+    """
+    root = math.isqrt(paper_kernel(r, n))
+    assert root * root == paper_kernel(r, n)
+    base, den = (2 * n + 1) * r - 1, 2 * (r - 1)
+    return Fraction(base - root, den), Fraction(base + root, den)
 
 
 def cleared_discriminant(upper, lower, n):
@@ -162,13 +177,9 @@ def test_discriminant_examples():
 
 
 def test_discriminant_kernel_examples():
-    assert discriminant_kernel(5, 10) == 5184 == 72**2
-    assert discriminant_kernel(17, 8) == 36864 == 192**2
-    assert discriminant_kernel(2, 3) == 89
-    with pytest.raises(DomainError):
-        discriminant_kernel(1, 10)
-    with pytest.raises(DomainError):
-        discriminant_kernel(5, 2)
+    assert paper_kernel(5, 10) == 5184 == 72**2
+    assert paper_kernel(17, 8) == 36864 == 192**2
+    assert paper_kernel(2, 3) == 89 and math.isqrt(89) ** 2 != 89
 
 
 def test_discriminant_positivity_grid():
@@ -180,22 +191,24 @@ def test_discriminant_positivity_grid():
 def test_kernel_scales_discriminant():
     for r, n in ((5, 10), (2, 3), (17, 8), (7, 19)):
         for b in (1, 2, Fraction(1, 3), Fraction(7, 5)):
-            assert paper_discriminant(r * Fraction(b), Fraction(b), n) == 4 * Fraction(b) ** 2 * discriminant_kernel(r, n)
+            assert paper_discriminant(r * Fraction(b), Fraction(b), n) == 4 * Fraction(b) ** 2 * paper_kernel(r, n)
 
 
 def test_k0_closed_form_examples():
-    assert k0_closed_form(5, 10) == (4, 22)
-    assert k0_closed_form(17, 8) == (3, 15)
-    with pytest.raises(DomainError, match="kernel 89 is not a perfect square"):
-        k0_closed_form(2, 3)
+    assert paper_closed_form(5, 10) == (4, 22)
+    assert paper_closed_form(17, 8) == (3, 15)
 
 
 def test_k0_closed_form_matches_quadratic_roots():
     for r, n, _ in TABLE1:
-        low, high = k0_closed_form(r, n)
+        low, high = paper_closed_form(r, n)
         quad = fraction_wall_quadratic(r, 1, n)
         assert evaluate(quad, low) == 0 and evaluate(quad, high) == 0
         assert low < high
+        # search_hits' lost-root check divides the same roots in integers.
+        base, den = _closed_form(r, n)
+        root = math.isqrt(paper_kernel(r, n))
+        assert (Fraction(base - root, den), Fraction(base + root, den)) == (low, high)
 
 
 def test_solve_k0_examples():
