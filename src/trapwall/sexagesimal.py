@@ -42,10 +42,11 @@ def _parse_digit_group(text: str) -> list[int]:
             raise ParseError("empty digit group")
         if not _DIGIT_RE.match(token):
             raise ParseError(f"malformed digit {token!r}")
-        value = int(token)
-        if value >= BASE:
-            raise ParseError(f"digit {value} exceeds 59")
-        digits.append(value)
+        # Without leading zeros, a digit of three or more figures exceeds 59,
+        # and int() refuses one of more than 4,300.
+        if len(token) > 2 or int(token) >= BASE:
+            raise ParseError(f"digit {token} exceeds 59")
+        digits.append(int(token))
     return digits
 
 
@@ -114,7 +115,10 @@ def exact_fraction(value: Rational, what: str) -> Fraction:
     DomainError: text, floats and Decimals included. Text is read at the
     edges, by parse_sex and the CLI.
     """
-    # int and Fraction first: they need no abstract base class lookup.
+    # A Fraction is immutable and passes through uncopied; ints and Fraction
+    # subclasses need no abstract base class lookup.
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)) or isinstance(value, numbers.Rational):
         return Fraction(value)
     raise DomainError(f"{what} must be an int or Fraction, not {type(value).__name__}")
@@ -159,28 +163,25 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> str:
     """
     check_int(max_frac_places, "max_frac_places", 0)
     x = exact_fraction(x, "value")
-    magnitude = abs(x)
-    fact = is_regular(magnitude.denominator)
+    numerator, denominator = x.numerator, x.denominator
+    fact = is_regular(denominator)
     if fact is None:
-        raise NonTerminatingError(
-            f"denominator {magnitude.denominator} is not regular"
-        )
+        raise NonTerminatingError(f"denominator {denominator} is not regular")
     places = _places_needed(fact)
     if places > max_frac_places:
         raise PlacesExceededError(
             f"needs {places} fractional places, only {max_frac_places} allowed"
         )
-    scaled = magnitude.numerator * BASE**places // magnitude.denominator
-    return _from_scaled_int(x < 0, scaled, places)
+    scaled = abs(numerator) * BASE**places // denominator
+    return _from_scaled_int(numerator < 0, scaled, places)
 
 
 def truncate_sex(x: Fraction, frac_places: int) -> str:
     """Canonical base-60 text of a rational truncated toward zero to frac_places digits."""
     check_int(frac_places, "frac_places", 0)
     x = exact_fraction(x, "value")
-    magnitude = abs(x)
-    scaled = magnitude.numerator * BASE**frac_places // magnitude.denominator
-    return _from_scaled_int(x < 0, scaled, frac_places)
+    scaled = abs(x.numerator) * BASE**frac_places // x.denominator
+    return _from_scaled_int(x.numerator < 0, scaled, frac_places)
 
 
 def isqrt(m: int) -> tuple[int, bool]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line surface, including exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -210,6 +211,9 @@ def test_search_refuses_bad_bounds_as_wall_refuses_a_bad_count(capsys, bounds, r
 # Ten in Arabic-Indic and in full-width digits: int() reads both.
 ARABIC_TEN = "\u0661\u0660"
 WIDE_TEN = "\uff11\uff10"
+# int() refuses text of more digits than its limit, 4,300 unless changed.
+LONG = "1" * 5000
+TOO_LONG = f"more than {sys.get_int_max_str_digits()} digits in one number"
 
 
 @pytest.mark.parametrize(
@@ -221,6 +225,8 @@ WIDE_TEN = "\uff11\uff10"
         (["convert", "5/3", "--places", "1_0"], "argument --places: invalid places '1_0'"),
         (["strips", "5/3", "1/3", "1", "x"], "argument n: invalid int value: 'x'"),
         (["convert", "5/3", "--places", "x"], "argument --places: invalid places 'x'"),
+        (["strips", "5/3", "1/3", "1", LONG], f"argument n: {TOO_LONG}"),
+        (["convert", "5/3", "--places", LONG], f"argument --places: {TOO_LONG}"),
     ],
 )
 def test_integer_arguments_take_ascii_digits_only(capsys, argv, refusal):
@@ -236,6 +242,21 @@ def test_values_take_ascii_digits_only(capsys, text):
     # Fraction() reads each of these; a value is p/q, an integer or a numeral.
     for argv in (["convert", text], ["wall", text, "1", "1", "10"]):
         assert run_cli(capsys, *argv) == (2, "", f"error: malformed digit {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        (LONG, TOO_LONG),
+        (f"-5/{LONG}", TOO_LONG),
+        (f"1;{LONG}", f"digit {LONG} exceeds 59"),
+        (f"{LONG};1", f"digit {LONG} exceeds 59"),
+    ],
+    ids=["integer", "denominator", "fractional digit", "integer digit"],
+)
+def test_over_long_values_are_parse_errors(capsys, text, refusal):
+    for argv in (["convert", text], ["bisect", text, "1"]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize("text", ["+10", "010", " 10 "])
@@ -510,6 +531,63 @@ def test_one_subcommand_parses_as_all_six_do(argv, columns, monkeypatch):
         assert built == [argv[0]] + [None] * (argv in LEFTOVER_CASES)
     else:
         assert built == [None]
+
+
+TRAPEZOID_ARGS = ["upper", "lower", "height", "n"]
+POSITIONALS = {
+    "convert": ["value"],
+    "bisect": ["upper", "lower"],
+    "strips": TRAPEZOID_ARGS,
+    "wall": TRAPEZOID_ARGS,
+    "search": ["r_lo", "r_hi", "n_lo", "n_hi"],
+    "smt26": [],
+}
+
+
+def reference_parser(command):
+    """build_parser(command) as plain ArgumentParser.add_argument calls build it."""
+    p = argparse.ArgumentParser(prog=f"trapwall {command}")
+    p._negative_number_matcher = cli._NEGATIVE_RE
+    p.add_argument("--format", choices=("table", "jsonl"), default="table")
+    if command not in ("search", "smt26"):
+        p.add_argument("--numeral", choices=("sex", "rat", "dec"))
+        p.add_argument("--places", type=cli._places_flag)
+    for arg in POSITIONALS[command]:
+        p.add_argument(arg, type=cli._integer if arg in ("n", "r_lo", "r_hi", "n_lo", "n_hi") else None)
+    p.set_defaults(handler=getattr(cli, f"cmd_{command}"), numeral="sex", places=None)
+    if command == "search":
+        p.add_argument("--regular-only", action="store_true")
+    elif command == "smt26":
+        p.add_argument("--part", choices=("reverse", "obverse1"), default="reverse")
+    return p
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_matches_plain_add_argument(command, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    built, reference = build_parser(command), reference_parser(command)
+    # A positional filed under options would be listed under "options:".
+    assert built.format_help() == reference.format_help()
+    cases = [argv[1:] for argv in PARSE_CASES if argv and argv[0] == command]
+    assert cases
+    for args in cases:
+        assert outcome(args, built.parse_known_args) == outcome(args, reference.parse_known_args)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_builds_no_formatter_per_argument(command, monkeypatch):
+    # argparse's add_argument builds a HelpFormatter to check metavar tuples;
+    # only the parser's own -h may still pay for one.
+    built = []
+    init = argparse.HelpFormatter.__init__
+    monkeypatch.setattr(
+        argparse.HelpFormatter, "__init__", lambda *a, **k: built.append(1) or init(*a, **k)
+    )
+    argparse.ArgumentParser(prog=f"trapwall {command}")
+    bare = len(built)
+    build_parser(command)
+    assert len(built) - bare <= bare
 
 
 # Calls that differ from their predecessor in a flag, a default or an exit.

@@ -1,5 +1,6 @@
 """Unit and property tests for base-60 parsing, writing and roots: text in and out, Fractions inside."""
 
+import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +18,7 @@ from trapwall.errors import (
 from trapwall.geometry import Trapezoid, transversal_bisector
 from trapwall.sexagesimal import (
     RegularFactorization,
+    exact_fraction,
     is_regular,
     isqrt,
     parse_sex,
@@ -82,6 +84,21 @@ def test_parse_error_messages(text, message):
     assert str(exc.value) == message
 
 
+# int() refuses text of more than 4,300 digits; a base-60 digit has at most two.
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1;" + LONG, LONG, f"-1,{LONG};1"],
+    ids=["fractional digit", "integer digit", "inner digit"],
+)
+def test_parse_refuses_an_over_long_digit(text):
+    with pytest.raises(ParseError) as exc:
+        parse_sex(text)
+    assert str(exc.value) == f"digit {LONG} exceeds 59"
+
+
 def test_parse_canonicalises():
     # Non-canonical text reads as its value and is written back canonical:
     # no leading zero digit, no trailing zero digit, and zero unsigned.
@@ -133,6 +150,32 @@ def test_wrong_argument_type_is_a_domain_error(fn, args, what):
     message = f"{what} must be an int or Fraction, not {type(bad).__name__}"
     with pytest.raises(DomainError, match=re.escape(message)):
         fn(*args)
+
+
+class Ratio:
+    """A numbers.Rational that is neither an int nor a Fraction."""
+
+    numerator, denominator = 5, 3
+
+
+numbers.Rational.register(Ratio)
+
+
+class FractionSubclass(Fraction):
+    pass
+
+
+def test_exact_fraction_passes_fractions_through():
+    value = Fraction(5, 3)
+    assert exact_fraction(value, "x") is value
+
+
+@pytest.mark.parametrize(
+    "value", [FractionSubclass(5, 3), 7, Ratio()], ids=["subclass", "int", "Ratio"]
+)
+def test_exact_fraction_converts_other_rationals(value):
+    converted = exact_fraction(value, "x")
+    assert type(converted) is Fraction and converted == value
 
 
 @pytest.mark.parametrize(
