@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -95,10 +96,20 @@ def is_regular(m: int) -> RegularFactorization | None:
     return RegularFactorization(*exponents)
 
 
+def _int_text(m: int) -> str:
+    """m in decimal for a message, or its size when int() would refuse to write it out."""
+    # Python before 3.10.7 has no digit limit. A b-bit integer has at most
+    # b * log10(2) + 1 digits, and 30103 / 10**5 errs high.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and m.bit_length() * 30103 // 100_000 + 1 > limit:
+        return f"<{m.bit_length()}-bit integer>"
+    return str(m)
+
+
 def reciprocal_regular(m: int) -> Fraction:
     """Exact reciprocal of a regular integer; any other has no finite base-60 expansion."""
     if is_regular(m) is None:
-        raise NonTerminatingError(f"{m} has a prime factor other than 2, 3, 5")
+        raise NonTerminatingError(f"{_int_text(m)} has a prime factor other than 2, 3, 5")
     return Fraction(1, m)
 
 
@@ -166,7 +177,7 @@ def rational_to_sex(x: Fraction, max_frac_places: int) -> str:
     numerator, denominator = x.numerator, x.denominator
     fact = is_regular(denominator)
     if fact is None:
-        raise NonTerminatingError(f"denominator {denominator} is not regular")
+        raise NonTerminatingError(f"denominator {_int_text(denominator)} is not regular")
     places = _places_needed(fact)
     if places > max_frac_places:
         raise PlacesExceededError(

@@ -14,7 +14,9 @@ drops the (r, n) whose kernel is a non-square modulo small m.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -28,11 +30,11 @@ from .sexagesimal import check_int, is_regular, isqrt
 # 2,454; 43 and 47 cut them further, but made no scan faster and raise the
 # fixed cost of a small window.
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
-# Values sieved at once. A block tiles the residue patterns of
-# _sieve_patterns(), ints of m bits built on a process's first search, into at
-# most sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits (400 masks, about 230 KB as
-# Python ints) and drops them before the next block, so memory does not grow
-# with the range.
+# Values sieved at once. For each modulus m a block builds the masks of its
+# first min(m, lines) lines from _sieve_patterns(), ints of m bits built on a
+# process's first search: at most sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits
+# (400 masks, about 230 KB as Python ints), dropped before the next block, so
+# memory grows neither with the range nor with the number of lines.
 SIEVE_BLOCK = 4096
 
 
@@ -173,9 +175,12 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     mask for modulus m has bit i set when value start + i passes modulo m, and
     ANDing the masks leaves the survivors. Every line of a block spans the same
     values, so the mask for m depends only on the line modulo m: the block
-    builds it on first use, from that residue's pattern int in
-    _sieve_patterns(), with one multiply and one shift. Blocks are the outer loop, so the candidates
-    do not come in (r, n) order.
+    builds the masks of its first min(m, lines) lines, in line order, from
+    their residues' pattern ints in _sieve_patterns() with one multiply and one
+    shift each, and cycles that list over the rest of its lines. The moduli's
+    masks are ANDed per line in C, through a chain of maps; only the survivor
+    walk is a Python loop. Blocks are the outer loop, so the candidates do not
+    come in (r, n) order.
     """
     along_n = n_hi - n_lo >= r_hi - r_lo
     if along_n:
@@ -185,28 +190,30 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     # A pattern of m bits times repeat is the pattern tiled over more than
     # length + m bits, so it still covers a block after a shift by offset < m.
     length = min(SIEVE_BLOCK, hi - lo + 1)
-    sieves = [
-        (m, rows if along_n else columns, ((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1))
-        for m, rows, columns in _sieve_patterns()
-    ]
+    sieves = []
+    for m, rows, columns in _sieve_patterns():
+        patterns = rows if along_n else columns
+        # The patterns of the first min(m, lines) lines, in line order.
+        first = lines[0] % m
+        patterns = (patterns[first:] + patterns[:first])[: len(lines)]
+        repeat = ((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1)
+        sieves.append((m, patterns, itertools.repeat(repeat)))
     for start in range(lo, hi + 1, SIEVE_BLOCK):
-        size = min(SIEVE_BLOCK, hi + 1 - start)
-        caches = [(m, patterns, repeat, start % m, [None] * m) for m, patterns, repeat in sieves]
-        for line in lines:
-            mask = (1 << size) - 1
-            for m, patterns, repeat, offset, cache in caches:
-                c = line % m
-                part = cache[c]
-                if part is None:
-                    part = cache[c] = patterns[c] * repeat >> offset
-                mask &= part
-                # An empty line needs no more masks: small windows build few.
-                if not mask:
-                    break
+        # The first AND drops the bits past the block's end. Every input of the
+        # chain is endless and zip stops it with the lines, so the chain makes
+        # one combined mask per line and holds no more than one at a time.
+        masks = itertools.repeat((1 << min(SIEVE_BLOCK, hi + 1 - start)) - 1)
+        for m, patterns, repeat in sieves:
+            shift = itertools.repeat(start % m)
+            built = list(map(operator.rshift, map(operator.mul, patterns, repeat), shift))
+            # Line residues repeat with period m, so cycling the list tiles the
+            # lines without a reference per line.
+            masks = map(operator.and_, masks, itertools.cycle(built))
+        for line, mask in zip(lines, masks):
             while mask:
-                low = mask & -mask
-                mask ^= low
-                at = start + low.bit_length() - 1
+                top = mask.bit_length() - 1
+                mask ^= 1 << top
+                at = start + top
                 yield (line, at) if along_n else (at, line)
 
 

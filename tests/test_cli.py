@@ -151,6 +151,15 @@ def test_bisect_truncated_root(capsys):
     assert "d = 1;12,6,39,41,30 (truncated)" in out
 
 
+def test_bisect_of_huge_denominators_prints_truncated_lines(capsys):
+    # d^2 has a denominator of some 8,000 digits, more than int() writes out:
+    # the NonTerminatingError that renders it as truncated must not need its text.
+    value = "1/" + "7" * 4000
+    code, out, err = run_cli(capsys, "bisect", value, value)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["d^2 = 0 (truncated)", "d = 0 (truncated)"]
+
+
 def test_bisect_domain_error(capsys):
     code, _, err = run_cli(capsys, "bisect", "1", "2")
     assert code == 4 and "error" in err

@@ -2,6 +2,7 @@
 
 import numbers
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -242,8 +243,29 @@ def test_regular_factorization_reconstructs():
 def test_reciprocal_regular():
     assert reciprocal_regular(225) == Fraction(1, 225)
     assert reciprocal_regular(1) == 1
-    with pytest.raises(NonTerminatingError):
+    with pytest.raises(NonTerminatingError, match=r"^7 has a prime factor"):
         reciprocal_regular(7)
+
+
+def test_non_regular_messages_state_the_size_of_huge_integers():
+    # An integer of more digits than int() writes out is named by its bit count.
+    huge = 7 * 10**5000
+    with pytest.raises(NonTerminatingError, match=r"^denominator <16613-bit integer> is not regular$"):
+        rational_to_sex(Fraction(1, huge), 20)
+    with pytest.raises(NonTerminatingError, match=r"^<16613-bit integer> has a prime factor"):
+        reciprocal_regular(huge)
+    # Around int()'s limit an integer is written out or named, and none raises:
+    # below the limit it is written out, above it named.
+    limit = sys.get_int_max_str_digits()
+    for digits in range(limit - 2, limit + 3):
+        for m in (10 ** (digits - 1) + 7, 10**digits - 3):
+            with pytest.raises(NonTerminatingError) as raised:
+                rational_to_sex(Fraction(1, m), 20)
+            named = re.fullmatch(r"denominator <\d+-bit integer> is not regular", str(raised.value))
+            if digits != limit:
+                assert bool(named) == (digits > limit), digits
+            if not named:
+                assert str(raised.value) == f"denominator {m} is not regular"
 
 
 def test_isqrt_examples():

@@ -131,12 +131,13 @@ def fraction_solve_k0(upper, lower, n):
 
 def sieve_by_definition(r_lo, r_hi, n_lo, n_hi):
     """The window's (r, n), in (r, n) order, whose kernel is a square modulo every sieve modulus."""
-    squares = {m: {y * y % m for y in range(m)} for m in SIEVE_MODULI}
+    squares = [(m, {y * y % m for y in range(m)}) for m in SIEVE_MODULI]
     return [
         (r, n)
         for r in range(r_lo, r_hi + 1)
         for n in range(n_lo, n_hi + 1)
-        if all(((2 * n * n - 1) * (r * r + 1) + 2 * r) % m in squares[m] for m in SIEVE_MODULI)
+        for kernel in [(2 * n * n - 1) * (r * r + 1) + 2 * r]
+        if all(kernel % m in residues for m, residues in squares)
     ]
 
 
@@ -388,10 +389,38 @@ def test_candidates_equal_their_definition(window):
     assert sorted(_candidates(*window)) == sieve_by_definition(*window)
 
 
+# Line counts below, at and above a modulus (41, 64 and 65 are moduli), and
+# value counts within one block or across a SIEVE_BLOCK boundary.
+LINE_COUNTS = [1, 2, 10, 11, 41, 63, 64, 65, 66, 130]
+VALUE_EXTRAS = st.one_of(
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=SIEVE_BLOCK - 2, max_value=SIEVE_BLOCK + 70),
+)
+
+
+@given(
+    lines=st.sampled_from(LINE_COUNTS),
+    extra=VALUE_EXTRAS,
+    line_lo=st.integers(min_value=3, max_value=30_000),
+    value_lo=st.integers(min_value=3, max_value=30_000),
+    along_r=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_candidates_equal_their_definition_on_any_window(lines, extra, line_lo, value_lo, along_r):
+    # The sieve runs along the longer side, so each window has `lines` lines
+    # across `lines + extra` values, the other way round when along_r.
+    line_hi, value_hi = line_lo + lines - 1, value_lo + lines + extra - 1
+    if along_r:
+        window = (value_lo, value_hi, line_lo, line_hi)
+    else:
+        window = (line_lo, line_hi, value_lo, value_hi)
+    assert sorted(_candidates(*window)) == sieve_by_definition(*window)
+
+
 def test_sieve_cache_memory_is_bounded():
     # 599 ratios take every residue of every modulus, so each block of strip
-    # counts fills the whole cache: at most sum(SIEVE_MODULI) masks of
-    # SIEVE_BLOCK bits (see SIEVE_BLOCK), dropped before the next block.
+    # counts builds all sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits (see
+    # SIEVE_BLOCK), dropped before the next block.
     bound = sum(SIEVE_MODULI) * SIEVE_BLOCK // 8
     tracemalloc.start()
     try:
