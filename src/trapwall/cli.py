@@ -1,13 +1,15 @@
 """Command line front end: convert numerals, compute bisectors, run the searches.
 
 Exit codes: 0 success, 1 clean no-solution, 2 input syntax, 3 representation
-failure (value has no exact base-60 form), 4 domain violation, 141 (128 +
-SIGPIPE) the reader of stdout closed it before the output ended.
+failure (value has no exact base-60 form, or convert's value has more digits
+than int() writes out), 4 domain violation, 141 (128 + SIGPIPE) the reader of
+stdout closed it before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import gettext
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from . import geometry, party_wall, wall_solver
 from .errors import (
+    DigitLimitError,
     DomainError,
     NonTerminatingError,
     ParseError,
@@ -64,6 +67,14 @@ def parse_value(text: str) -> Fraction:
         except ValueError:
             raise ParseError(_too_many_digits()) from None
     return parse_sex(text)
+
+
+def _rational_text(x: Fraction) -> str:
+    """str(x), refused when int() would not write out its numerator or denominator."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DigitLimitError(f"cannot write the value out: {_too_many_digits()}") from None
 
 
 def _fixed_point(scaled: int, places: int) -> str:
@@ -116,6 +127,9 @@ def value_record(x: Fraction) -> dict:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     value = parse_value(args.value)
+    # Every output but base-60 text writes the value's integers out in decimal:
+    # one check refuses them all before anything prints.
+    rational = None if args.format == "table" and args.numeral == "sex" else _rational_text(value)
     if args.places is None and (args.numeral == "sex" or args.format == "jsonl"):
         # Nothing asked for a truncation, and JSONL prints the base-60 text
         # whatever --numeral says: a value with no exact form is exit 3.
@@ -126,7 +140,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if truncated:
         sex_text = truncate_sex(value, _places(args))
     if args.format == "jsonl":
-        record = {"rational": str(value), "sexagesimal": sex_text, "truncated": truncated}
+        record = {"rational": rational, "sexagesimal": sex_text, "truncated": truncated}
         print(json.dumps(record))
     elif args.numeral == "sex":
         print(f"{sex_text} (truncated)" if truncated else sex_text)
@@ -300,6 +314,7 @@ _EXIT_CODES = {
     ParseError: EXIT_SYNTAX,
     NonTerminatingError: EXIT_REPRESENTATION,
     PlacesExceededError: EXIT_REPRESENTATION,
+    DigitLimitError: EXIT_REPRESENTATION,
     DomainError: EXIT_DOMAIN,
 }
 
@@ -337,7 +352,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     leaves unknown arguments over where the full parser refuses them.
     """
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"trapwall {command}")
+        # -h is added as the constructor adds it, with argparse's own text, but
+        # through the options group: the constructor's add_argument would build
+        # a HelpFormatter (and probe the terminal's size) for it.
+        parser = argparse.ArgumentParser(prog=f"trapwall {command}", add_help=False)
+        parser._optionals.add_argument(
+            "-h",
+            "--help",
+            action="help",
+            default=argparse.SUPPRESS,
+            help=gettext.gettext("show this help message and exit"),
+        )
         _add_command_arguments(parser, command)
         return parser
     parser = argparse.ArgumentParser(

@@ -19,3 +19,7 @@ class NonTerminatingError(TrapwallError):
 
 class PlacesExceededError(TrapwallError):
     """The value terminates in base 60 but needs more fractional places than allowed."""
+
+
+class DigitLimitError(TrapwallError):
+    """The value's numerator or denominator has more digits than int() writes out."""

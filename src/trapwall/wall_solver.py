@@ -25,15 +25,18 @@ from .sexagesimal import check_int, is_regular, isqrt
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
 # kernel is a non-residue modulo one of these is skipped without an isqrt.
-# Each costs one AND per line and at most m mask builds per block of values.
-# 29 to 41 cut the survivors of search_scan's seed-1 windows from 26,777 to
-# 2,454; 43 and 47 cut them further, but made no scan faster and raise the
-# fixed cost of a small window.
-SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41)
+# Each costs one C-level AND per line and at most m mask builds per block of
+# values, and each survivor costs ~0.3-0.5 us of Python (walk, kernel, isqrt).
+# Summed over the 27 windows of search_scan seeds 3-5, 43 and 47 cut the
+# survivors from 7,583 to 2,221 and search_hits' time by ~10% (median of eight
+# runs); adding 53 too, or 53 and 59, or putting 43 and 47 (and 53) in place
+# of 11, was slower in that median. A modulus must be at most 256:
+# _kernel_squares translates through a table of 256 bytes.
+SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Values sieved at once. For each modulus m a block builds the masks of its
 # first min(m, lines) lines from _sieve_patterns(), ints of m bits built on a
 # process's first search: at most sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits
-# (400 masks, about 230 KB as Python ints), dropped before the next block, so
+# (490 masks, about 280 KB as Python ints), dropped before the next block, so
 # memory grows neither with the range nor with the number of lines.
 SIEVE_BLOCK = 4096
 
@@ -155,6 +158,8 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
     With the widths' denominators cleared by one lcm, n times w[i] is the
     integer (n - i) * upper + i * lower. Strip i has area (w[i-1] + w[i]) * height / 2n,
     and the factor height / 2n is common, so equal areas mean equal sums of w[i-1] + w[i].
+    Within a side each inner width bounds two strips and is counted twice: the
+    walk sums it once and doubles it, and adds the side's two outer widths once.
     """
     check_wall_index(trap, n, k0)
     scale = math.lcm(trap.upper.denominator, trap.lower.denominator)
@@ -162,8 +167,8 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
     lower = trap.lower.numerator * (scale // trap.lower.denominator)
     # width[i] = n * scale * w[i] for i = 0..n; strip i spans width[i - 1] to width[i].
     width = range(n * upper, n * lower + lower - upper, lower - upper)
-    left = sum(width[: k0 - 1]) + sum(width[1:k0])
-    right = sum(width[k0:n]) + sum(width[k0 + 1 :])
+    left = width[0] + 2 * sum(width[1 : k0 - 1]) + width[k0 - 1]
+    right = width[k0] + 2 * sum(width[k0 + 1 : n]) + width[n]
     return left == right
 
 

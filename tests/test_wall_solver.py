@@ -389,9 +389,9 @@ def test_candidates_equal_their_definition(window):
     assert sorted(_candidates(*window)) == sieve_by_definition(*window)
 
 
-# Line counts below, at and above a modulus (41, 64 and 65 are moduli), and
-# value counts within one block or across a SIEVE_BLOCK boundary.
-LINE_COUNTS = [1, 2, 10, 11, 41, 63, 64, 65, 66, 130]
+# Line counts below, at and above a modulus (11, 41, 43, 47, 63, 64 and 65
+# are moduli), and value counts within one block or across a SIEVE_BLOCK boundary.
+LINE_COUNTS = [1, 2, 10, 11, 41, 43, 47, 48, 63, 64, 65, 66, 130]
 VALUE_EXTRAS = st.one_of(
     st.integers(min_value=0, max_value=200),
     st.integers(min_value=SIEVE_BLOCK - 2, max_value=SIEVE_BLOCK + 70),
