@@ -1,9 +1,9 @@
 """Command line front end: convert numerals, compute bisectors, run the searches.
 
 Exit codes: 0 success, 1 clean no-solution, 2 input syntax, 3 representation
-failure (value has no exact base-60 form, or convert's value has more digits
-than int() writes out), 4 domain violation, 141 (128 + SIGPIPE) the reader of
-stdout closed it before the output ended.
+failure (value has no exact base-60 form, or an integer to print has more
+digits than int() writes out), 4 domain violation, 141 (128 + SIGPIPE) the
+reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def parse_value(text: str) -> Fraction:
     return parse_sex(text)
 
 
-def _rational_text(x: Fraction) -> str:
-    """str(x), refused when int() would not write out its numerator or denominator."""
+def _text(x: Fraction | int) -> str:
+    """str(x), the one writer of the CLI's decimal integers, refused past int()'s limit."""
     try:
         return str(x)
     except ValueError:
@@ -80,9 +80,9 @@ def _rational_text(x: Fraction) -> str:
 def _fixed_point(scaled: int, places: int) -> str:
     """The nonnegative scaled / 10**places as text with `places` decimals."""
     if places == 0:
-        return str(scaled)
+        return _text(scaled)
     whole, digits = divmod(scaled, 10**places)
-    return f"{whole}.{digits:0{places}d}"
+    return f"{_text(whole)}.{digits:0{places}d}"
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -112,7 +112,7 @@ def _places(args: argparse.Namespace) -> int:
 def render(x: Fraction, args: argparse.Namespace) -> str:
     """One exact value as table text in args' numeral mode; trace steps render here too."""
     if args.numeral == "rat":
-        return str(x)
+        return _text(x)
     if args.numeral == "dec":
         return f"{_decimal_str(x, _places(args))} (approx)"
     # No exact form within MAX_EXACT_PLACES means none within _places(args) <= MAX_EXACT_PLACES.
@@ -122,30 +122,28 @@ def render(x: Fraction, args: argparse.Namespace) -> str:
 
 def value_record(x: Fraction) -> dict:
     """The JSON shape for one exact value: rational always, base-60 when it exists."""
-    return {"rational": str(x), "sexagesimal": _exact_sex(x)}
+    return {"rational": _text(x), "sexagesimal": _exact_sex(x)}
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     value = parse_value(args.value)
-    # Every output but base-60 text writes the value's integers out in decimal:
-    # one check refuses them all before anything prints.
-    rational = None if args.format == "table" and args.numeral == "sex" else _rational_text(value)
-    if args.places is None and (args.numeral == "sex" or args.format == "jsonl"):
+    if args.format == "table" and args.numeral != "sex":
+        print(render(value, args))
+        return EXIT_OK
+    if args.places is None:
         # Nothing asked for a truncation, and JSONL prints the base-60 text
         # whatever --numeral says: a value with no exact form is exit 3.
         sex_text = rational_to_sex(value, MAX_EXACT_PLACES)
     else:
-        sex_text = _exact_sex(value, MAX_EXACT_PLACES if args.places is None else args.places)
+        sex_text = _exact_sex(value, args.places)
     truncated = sex_text is None
     if truncated:
-        sex_text = truncate_sex(value, _places(args))
+        sex_text = truncate_sex(value, args.places)
     if args.format == "jsonl":
-        record = {"rational": rational, "sexagesimal": sex_text, "truncated": truncated}
+        record = {"rational": _text(value), "sexagesimal": sex_text, "truncated": truncated}
         print(json.dumps(record))
-    elif args.numeral == "sex":
-        print(f"{sex_text} (truncated)" if truncated else sex_text)
     else:
-        print(render(value, args))
+        print(f"{sex_text} (truncated)" if truncated else sex_text)
     return EXIT_OK
 
 
@@ -163,15 +161,17 @@ def cmd_bisect(args: argparse.Namespace) -> int:
         }
         print(json.dumps(record))
         return EXIT_OK
-    print(f"d^2 = {render(result.value_sq, args)}")
+    # Both lines are text before either prints: a refused value leaves stdout empty.
+    square = render(result.value_sq, args)
     if result.exact_root is not None:
-        print(f"d = {render(result.exact_root, args)}")
+        root = render(result.exact_root, args)
     elif args.numeral == "rat":
-        print(f"d = sqrt({result.value_sq})")
+        root = f"sqrt({square})"
     elif args.numeral == "dec":
-        print(f"d = {_decimal_sqrt_str(result.value_sq, _places(args))} (approx)")
+        root = f"{_decimal_sqrt_str(result.value_sq, _places(args))} (approx)"
     else:
-        print(f"d = {sqrt_sex(result.value_sq, _places(args))} (truncated)")
+        root = f"{sqrt_sex(result.value_sq, _places(args))} (truncated)"
+    print(f"d^2 = {square}\nd = {root}")
     return EXIT_OK
 
 
@@ -229,16 +229,18 @@ def cmd_wall(args: argparse.Namespace) -> int:
         stream = sys.stderr if args.format == "jsonl" else sys.stdout
         print("no admissible wall", file=stream)
         return EXIT_NO_SOLUTION
+    # Every line is text before the first prints: a refused value leaves stdout empty.
+    lines = []
     for k0 in indices:
         plan = party_wall.plan_wall(trap, args.n, k0)
         if args.format == "jsonl":
             record = {"k0": k0}
             record.update(plan_record(plan))
-            print(json.dumps(record))
+            lines.append(json.dumps(record))
         else:
-            print(f"k0 = {k0}")
-            for key, attr in _PLAN_KEYS:
-                print(f"{key} = {render(getattr(plan, attr), args)}")
+            lines.append(f"k0 = {k0}")
+            lines.extend(f"{key} = {render(getattr(plan, attr), args)}" for key, attr in _PLAN_KEYS)
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -98,12 +97,10 @@ def is_regular(m: int) -> RegularFactorization | None:
 
 def _int_text(m: int) -> str:
     """m in decimal for a message, or its size when int() would refuse to write it out."""
-    # Python before 3.10.7 has no digit limit. A b-bit integer has at most
-    # b * log10(2) + 1 digits, and 30103 / 10**5 errs high.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and m.bit_length() * 30103 // 100_000 + 1 > limit:
+    try:
+        return str(m)
+    except ValueError:
         return f"<{m.bit_length()}-bit integer>"
-    return str(m)
 
 
 def reciprocal_regular(m: int) -> Fraction:

@@ -277,10 +277,22 @@ HUGE_NUMERAL = ",".join(["59"] * 3001)
 )
 def test_convert_refuses_a_value_too_long_to_write_out(capsys, flags):
     # Base-60 text of the value prints; its decimal integers would pass int()'s limit.
+    # bisect and wall compose every line before the first prints.
     refusal = f"error: cannot write the value out: {TOO_LONG}\n"
-    assert run_cli(capsys, "convert", HUGE_NUMERAL, *flags) == (3, "", refusal)
+    for argv in (
+        ["convert", HUGE_NUMERAL],
+        ["bisect", HUGE_NUMERAL, "1"],
+        ["wall", "5", "1", HUGE_NUMERAL, "10"],
+    ):
+        assert run_cli(capsys, *argv, *flags) == (3, "", refusal), argv[0]
+    # strips prints row by row: its table header is out before row 0 is refused.
+    header = "" if "jsonl" in flags else "k\td\tS\tS'\n"
+    assert run_cli(capsys, "strips", HUGE_NUMERAL, "1", "1", "2", *flags) == (3, header, refusal)
     code, out, err = run_cli(capsys, "convert", HUGE_NUMERAL)
     assert (code, out, err) == (0, HUGE_NUMERAL + "\n", "")
+    # Decimal text of 1 - 60**-3001 never writes the denominator out.
+    code, out, err = run_cli(capsys, "convert", "0;" + HUGE_NUMERAL, "--numeral", "dec")
+    assert (code, out, err) == (0, "0.99999 (approx)\n", "")
 
 
 @pytest.mark.parametrize("text", ["+10", "010", " 10 "])
@@ -827,3 +839,63 @@ def test_printed_values_match_the_library(command, fmt, places, data):
             k0 = int(text)
         else:
             check_value(text, getattr(plans[k0], PLAN_KEYS[key]), unit_places)
+
+
+# --- contract: no argv of the four value commands escapes main -------------
+
+# Well-formed values, over-long ones, and text that Fraction() or int() reads
+# but trapwall refuses.
+CONTRACT_VALUES = (
+    "5/3", "1;40", "0;20", "1", "30", "-5/13", "1e3", "1.5", "1/0", ARABIC_TEN,
+    HUGE_NUMERAL, "0;" + HUGE_NUMERAL, "1/" + "7" * 4000, LONG,
+)
+CONTRACT_VALUE_ARGS = {"convert": 1, "bisect": 2, "strips": 3, "wall": 3}
+
+
+def check_whole_strips_rows(out, fmt):
+    """out is strips' table header, if any, then whole rows k = 0, 1, ... in order."""
+    assert out == "" or out.endswith("\n")
+    lines = out.splitlines()
+    if fmt != "jsonl" and lines:
+        assert lines.pop(0) == "k\td\tS\tS'"
+    for k, line in enumerate(lines):
+        if fmt == "jsonl":
+            assert json.loads(line)["k"] == k
+        else:
+            fields = line.split("\t")
+            assert len(fields) == 4 and fields[0] == str(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(sorted(CONTRACT_VALUE_ARGS)),
+    fmt=st.sampled_from((None, "table", "jsonl")),
+    numeral=st.sampled_from((None, "sex", "rat", "dec")),
+    places=st.sampled_from((None, "0", "5", "20")),
+    n=st.integers(-1, 4),
+    data=st.data(),
+)
+def test_any_argv_exits_with_a_known_code(command, fmt, numeral, places, n, data):
+    # For any argv, main returns or exits with 0-4 and nothing else escapes.
+    # A refusal (2, 3 or 4) leaves stdout empty and says why on stderr;
+    # only strips, which prints row by row, may have printed whole rows first.
+    draw = st.sampled_from(CONTRACT_VALUES)
+    argv = [command] + [data.draw(draw) for _ in range(CONTRACT_VALUE_ARGS[command])]
+    if command in ("strips", "wall"):
+        argv.append(str(n))
+    for flag, value in (("--format", fmt), ("--numeral", numeral), ("--places", places)):
+        argv += [] if value is None else [flag, value]
+    code, out, err = outcome(argv)
+    assert code in (0, 1, 2, 3, 4), code
+    if code == 0:
+        assert err == ""
+    if code < 2:
+        return
+    if err.startswith("usage: "):
+        assert code == 2 and f"trapwall {command}: error: " in err.splitlines()[-1]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if command == "strips" and code == 3:
+        check_whole_strips_rows(out, fmt)
+    else:
+        assert out == ""

@@ -255,15 +255,14 @@ def test_non_regular_messages_state_the_size_of_huge_integers():
     with pytest.raises(NonTerminatingError, match=r"^<16613-bit integer> has a prime factor"):
         reciprocal_regular(huge)
     # Around int()'s limit an integer is written out or named, and none raises:
-    # below the limit it is written out, above it named.
+    # up to the limit it is written out, past it named.
     limit = sys.get_int_max_str_digits()
     for digits in range(limit - 2, limit + 3):
         for m in (10 ** (digits - 1) + 7, 10**digits - 3):
             with pytest.raises(NonTerminatingError) as raised:
                 rational_to_sex(Fraction(1, m), 20)
             named = re.fullmatch(r"denominator <\d+-bit integer> is not regular", str(raised.value))
-            if digits != limit:
-                assert bool(named) == (digits > limit), digits
+            assert bool(named) == (digits > limit), digits
             if not named:
                 assert str(raised.value) == f"denominator {m} is not regular"
 
