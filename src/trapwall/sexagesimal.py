@@ -83,12 +83,19 @@ def is_regular(m: int) -> RegularFactorization | None:
     Regular integers are exactly those whose reciprocals terminate in base 60.
     """
     check_int(m, "is_regular's argument", 1)
-    exponents = []
-    for p in (2, 3, 5):
+    exponents = [(m & -m).bit_length() - 1]
+    m >>= exponents[0]
+    for p in (3, 5):
         count = 0
         while m % p == 0:
+            # Divide out p, then p^2, p^4, ... while each divides; then start again at p.
             m //= p
             count += 1
+            power, k = p * p, 2
+            while m % power == 0:
+                m //= power
+                count += k
+                power, k = power * power, 2 * k
         exponents.append(count)
     if m != 1:
         return None

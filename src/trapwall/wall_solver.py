@@ -31,51 +31,41 @@ from .sexagesimal import check_int, is_regular, isqrt
 # survivors from 7,583 to 2,221 and search_hits' time by ~10% (median of eight
 # runs); adding 53 too, or 53 and 59, or putting 43 and 47 (and 53) in place
 # of 11, was slower in that median. A modulus must be at most 256:
-# _kernel_squares translates through a table of 256 bytes.
+# _patterns translates through a table of 256 bytes.
 SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# Values sieved at once. For each modulus m a block builds the masks of its
-# first min(m, lines) lines from _sieve_patterns(), ints of m bits built on a
-# process's first search: at most sum(SIEVE_MODULI) masks of SIEVE_BLOCK bits
-# (490 masks, about 280 KB as Python ints), dropped before the next block, so
-# memory grows neither with the range nor with the number of lines.
+# Values sieved at once. A block builds at most sum(SIEVE_MODULI) masks of
+# SIEVE_BLOCK bits (490, about 280 KB as Python ints) and drops them before the
+# next, so memory grows neither with the range nor with the number of lines.
 SIEVE_BLOCK = 4096
 
 
-def _kernel_squares(m: int) -> bytes:
-    """Byte i * m + j is 1 when kernel(r, n) is a square modulo m for r = i, n = j (mod m)."""
-    squares = bytearray(m)
-    for y in range(m):
-        squares[y * y % m] = 1
-    periodic = bytes(squares) * (m + 1)
+def _patterns(m: int) -> tuple[list[int], ...]:
+    """The rows and the columns of kernel(r, n)'s square residues mod m, as ints of m bits.
+
+    Bit j of rows[i] and bit i of columns[j] are 1 when kernel(r, n) is a square
+    modulo m for r = i, n = j (mod m): row r % m is the pattern over n for the
+    ratio r, column n % m the pattern over r for the strip count n.
+    """
+    squares = {y * y % m for y in range(m)}
+    periodic = bytes(b"01"[q in squares] for q in range(m)) * (m + 1)
     n_squares = bytes([j * j % m for j in range(m)])
     rows = []
     for i in range(m):
         # kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r = 2(r^2 + 1) n^2 - (r - 1)^2,
         # so kernel = 2(i^2 + 1) q - (i - 1)^2 with q = j^2 mod m: byte q of the
-        # extended slice is the residue flag of that kernel, for q < m. A step
+        # extended slice is the residue digit of that kernel, for q < m. A step
         # of 0 mod m is taken as m, which lands on the same residue each time.
         step, start = 2 * (i * i + 1) % m or m, -((i - 1) ** 2) % m
-        by_q = periodic[start : start + step * m : step]
-        rows.append(n_squares.translate(by_q.ljust(256, b"\0")))
-    return b"".join(rows)
-
-
-def _patterns(m: int) -> tuple[list[int], list[int]]:
-    """The rows and the columns of _kernel_squares(m) as ints of m bits.
-
-    Bit j of rows[i] and bit i of columns[j] are byte i * m + j. Row r % m is
-    the residue pattern over n for the ratio r, column n % m the pattern over r
-    for the strip count n: both repeat with period m.
-    """
-    digits = _kernel_squares(m).translate(bytes.maketrans(b"\0\1", b"01"))
+        by_q = periodic[start : start + step * m : step].ljust(256, b"0")
+        rows.append(n_squares.translate(by_q))
+    digits = b"".join(rows)
     transposed = b"".join(digits[j::m] for j in range(m))
     full = (1 << m) - 1
     # Bit k of each int is digit k of its table, so row i is bits i * m to i * m + m - 1.
-    rows, columns = (
+    return tuple(
         [bits >> i * m & full for i in range(m)]
         for bits in (int(digits[::-1], 2), int(transposed[::-1], 2))
     )
-    return rows, columns
 
 
 @functools.cache
@@ -178,14 +168,12 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     The sieve runs along the longer side of the window, in blocks of SIEVE_BLOCK
     values; the lines across it are the values of the shorter side. A line's
     mask for modulus m has bit i set when value start + i passes modulo m, and
-    ANDing the masks leaves the survivors. Every line of a block spans the same
-    values, so the mask for m depends only on the line modulo m: the block
-    builds the masks of its first min(m, lines) lines, in line order, from
-    their residues' pattern ints in _sieve_patterns() with one multiply and one
-    shift each, and cycles that list over the rest of its lines. The moduli's
-    masks are ANDed per line in C, through a chain of maps; only the survivor
-    walk is a Python loop. Blocks are the outer loop, so the candidates do not
-    come in (r, n) order.
+    ANDing the masks leaves the survivors. The mask for m depends only on the
+    line modulo m, so each block builds the masks of its first min(m, lines)
+    lines from their pattern ints in _sieve_patterns(), one multiply and one
+    shift each, and cycles that list over the rest. The masks are ANDed per
+    line in C through a chain of maps; only the survivor walk is a Python
+    loop. Blocks are the outer loop, so the candidates do not come in (r, n) order.
     """
     along_n = n_hi - n_lo >= r_hi - r_lo
     if along_n:
@@ -197,20 +185,15 @@ def _candidates(r_lo: int, r_hi: int, n_lo: int, n_hi: int) -> Iterator[tuple[in
     length = min(SIEVE_BLOCK, hi - lo + 1)
     sieves = []
     for m, rows, columns in _sieve_patterns():
-        patterns = rows if along_n else columns
-        # The patterns of the first min(m, lines) lines, in line order.
-        first = lines[0] % m
-        patterns = (patterns[first:] + patterns[:first])[: len(lines)]
         repeat = ((1 << m * (length // m + 2)) - 1) // ((1 << m) - 1)
-        sieves.append((m, patterns, itertools.repeat(repeat)))
+        sieves.append((m, rows if along_n else columns, repeat))
     for start in range(lo, hi + 1, SIEVE_BLOCK):
         # The first AND drops the bits past the block's end. Every input of the
         # chain is endless and zip stops it with the lines, so the chain makes
         # one combined mask per line and holds no more than one at a time.
         masks = itertools.repeat((1 << min(SIEVE_BLOCK, hi + 1 - start)) - 1)
         for m, patterns, repeat in sieves:
-            shift = itertools.repeat(start % m)
-            built = list(map(operator.rshift, map(operator.mul, patterns, repeat), shift))
+            built = [patterns[line % m] * repeat >> start % m for line in lines[:m]]
             # Line residues repeat with period m, so cycling the list tiles the
             # lines without a reference per line.
             masks = map(operator.and_, masks, itertools.cycle(built))

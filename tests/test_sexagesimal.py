@@ -235,9 +235,12 @@ def test_is_regular_matches_divisor_of_power_of_sixty():
 
 
 def test_regular_factorization_reconstructs():
-    for m in (1, 2, 8, 225, 14400, 2**10 * 3**7 * 5**4):
+    huge = (60**3001, 2**12004 * 3**6002 * 5**6002)
+    for m in (1, 2, 8, 225, 14400, 2**10 * 3**7 * 5**4, *huge):
         fact = is_regular(m)
         assert fact is not None and 2**fact.pow2 * 3**fact.pow3 * 5**fact.pow5 == m
+    for m in huge:
+        assert is_regular(7 * m) is None
 
 
 def test_reciprocal_regular():

@@ -24,7 +24,7 @@ from trapwall.wall_solver import (
     _candidates,
     _cleared_quadratic,
     _closed_form,
-    _kernel_squares,
+    _patterns,
     _roots_between,
     _sieve_patterns,
     search_hits,
@@ -321,28 +321,19 @@ def test_sieve_loses_no_case(window, regular_only, count):
 
 
 def test_kernel_square_tables_match_their_definition():
-    # Byte (i, j) is 1 when (2(i^2 + 1) j^2 - (i - 1)^2) mod m is a square
-    # modulo m, for every modulus, not only the ones the sieve uses.
+    # Bit j of row i and bit i of column j are 1 when (2(i^2 + 1) j^2 - (i - 1)^2)
+    # mod m is a square modulo m, for every modulus, not only the ones the sieve uses.
     for m in range(1, 200):
-        is_square = [0] * m
-        for y in range(m):
-            is_square[y * y % m] = 1
-        direct = bytes(
-            is_square[(2 * (i * i + 1) * j * j - (i - 1) ** 2) % m]
-            for i in range(m)
-            for j in range(m)
-        )
-        assert _kernel_squares(m) == direct, m
-    # The sieve's pattern ints, bit by bit: bit j of row i and bit i of column j
-    # are the flag of ratio i and strip count j.
-    for m, rows, columns in _sieve_patterns():
         is_square = {y * y % m for y in range(m)}
-        for i in range(m):
-            for j in range(m):
-                flag = (2 * (i * i + 1) * j * j - (i - 1) ** 2) % m in is_square
-                assert rows[i] >> j & 1 == columns[j] >> i & 1 == flag, (m, i, j)
-        assert max(rows + columns) < 1 << m
-    assert [m for m, _, _ in _sieve_patterns()] == list(SIEVE_MODULI)
+        flags = [
+            [(2 * (i * i + 1) * j * j - (i - 1) ** 2) % m in is_square for j in range(m)]
+            for i in range(m)
+        ]
+        rows, columns = _patterns(m)
+        assert rows == [sum(flags[i][j] << j for j in range(m)) for i in range(m)], m
+        assert columns == [sum(flags[i][j] << i for i in range(m)) for j in range(m)], m
+    # The sieve keeps the same ints, for SIEVE_MODULI in order.
+    assert _sieve_patterns() == tuple((m, *_patterns(m)) for m in SIEVE_MODULI)
 
 
 def test_sieve_loses_no_case_at_any_offset():
