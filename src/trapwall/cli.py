@@ -233,6 +233,10 @@ def cmd_wall(args: argparse.Namespace) -> int:
     lines = []
     for k0 in indices:
         plan = party_wall.plan_wall(trap, args.n, k0)
+        # geometry's closed-form areas share no code with the quadratic, so equal
+        # shares confirm k0; an explicit raise, so that python -O keeps the check.
+        if plan.left_area != plan.right_area:
+            raise AssertionError(f"unequal shares at k0={k0}, n={args.n}")
         if args.format == "jsonl":
             record = {"k0": k0}
             record.update(plan_record(plan))
@@ -251,11 +255,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     cases = (args.r_hi - args.r_lo + 1) * (args.n_hi - args.n_lo + 1)
     if args.format == "jsonl":
         for hit in hits:
-            record = {"r": hit.r, "n": hit.n, "k0": hit.k0, "n_regular": hit.n_regular}
-            print(json.dumps(record))
+            print(json.dumps(hit._asdict()))
         print(json.dumps({"cases": cases, "hits": len(hits)}))
     else:
-        print("r\tn\tk0\tn_regular")
+        print("\t".join(wall_solver.SearchHit._fields))
         for hit in hits:
             print(f"{hit.r}\t{hit.n}\t{hit.k0}\t{'yes' if hit.n_regular else 'no'}")
         print(f"{cases} cases, {len(hits)} hits")
@@ -330,6 +333,16 @@ def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
     # by tests: a group has no _get_formatter, so adding through it builds no
     # HelpFormatter per argument to check metavar tuples that trapwall never passes.
     options, positional_args = p._optionals, p._positionals
+    # -h as argparse's constructor adds it, with its own text. Every command's
+    # parser is made with add_help=False: the constructor's add_argument would
+    # build a HelpFormatter (and probe the terminal's size) for it.
+    options.add_argument(
+        "-h",
+        "--help",
+        action="help",
+        default=argparse.SUPPRESS,
+        help=gettext.gettext("show this help message and exit"),
+    )
     options.add_argument("--format", choices=("table", "jsonl"), default="table")
     if name in _NUMERAL_COMMANDS:
         options.add_argument("--numeral", choices=("sex", "rat", "dec"))
@@ -354,17 +367,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     leaves unknown arguments over where the full parser refuses them.
     """
     if command is not None:
-        # -h is added as the constructor adds it, with argparse's own text, but
-        # through the options group: the constructor's add_argument would build
-        # a HelpFormatter (and probe the terminal's size) for it.
         parser = argparse.ArgumentParser(prog=f"trapwall {command}", add_help=False)
-        parser._optionals.add_argument(
-            "-h",
-            "--help",
-            action="help",
-            default=argparse.SUPPRESS,
-            help=gettext.gettext("show this help message and exit"),
-        )
         _add_command_arguments(parser, command)
         return parser
     parser = argparse.ArgumentParser(
@@ -373,7 +376,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command_arguments(sub.add_parser(name, help=help_text), name)
+        _add_command_arguments(sub.add_parser(name, help=help_text, add_help=False), name)
     return parser
 
 

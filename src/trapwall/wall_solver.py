@@ -85,25 +85,6 @@ def _integer_quadratic(a: int, b: int, n: int) -> tuple[int, int, int]:
     return 2 * (a - b), -(4 * n * a - 2 * b + 2 * a), n * n * (a + b) + 2 * n * a + a - b
 
 
-def _cleared_quadratic(upper: Rational, lower: Rational, n: int) -> tuple[int, int, int, int]:
-    """The wall quadratic's coefficients times scale, all integers, and scale.
-
-    scale is the lcm of the widths' denominators; every coefficient is linear
-    in the widths, so clearing the widths clears the coefficients.
-    """
-    a, b = check_wall_widths(upper, lower)
-    check_int(n, "strip count", 3)
-    scale = math.lcm(a.denominator, b.denominator)
-    a = a.numerator * (scale // a.denominator)
-    b = b.numerator * (scale // b.denominator)
-    return *_integer_quadratic(a, b, n), scale
-
-
-def _closed_form(r: int, n: int) -> tuple[int, int]:
-    """(base, den) of the closed-form roots (base -+ sqrt(kernel)) / den."""
-    return (2 * n + 1) * r - 1, 2 * (r - 1)
-
-
 def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
     """The integers among (neg_linear -+ root) / den strictly between 1 and n.
 
@@ -117,27 +98,43 @@ def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
     return found
 
 
-def _integer_roots(lead: int, linear: int, constant: int, n: int) -> list[int]:
-    """The integer roots strictly between 1 and n of an integer wall quadratic.
+def _integer_roots(a: int, b: int, n: int) -> list[int]:
+    """The wall indices strictly between 1 and n for integer widths a > b > 0.
 
-    Callers pass lead > 0 (upper > lower), and then the discriminant is
-    positive (a positive multiple of kernel(a/b, n)): a perfect-square test plus divisibility.
+    The discriminant is 4K with K = 2(a^2 + b^2) n^2 - (a - b)^2 > 0, so the
+    roots are a perfect-square test plus divisibility. The closed form
+    ((2n + 1) a - b -+ sqrt(K)) / 2(a - b) then divides the same roots with its
+    own isqrt and divmod, and must give no index that the formula missed:
+    an explicit raise, not an assert, so that python -O keeps the check.
     """
+    lead, linear, constant = _integer_quadratic(a, b, n)
     root, perfect = isqrt(linear * linear - 4 * lead * constant)
-    if not perfect:
-        return []
-    return _roots_between(-linear, root, 2 * lead, n)
+    found = _roots_between(-linear, root, 2 * lead, n) if perfect else []
+    kern = 2 * (a * a + b * b) * n * n - (a - b) ** 2
+    half = math.isqrt(kern)
+    if half * half == kern:
+        base = (2 * n + 1) * a - b
+        for numerator in (base - half, base + half):
+            k0, rem = divmod(numerator, 2 * (a - b))
+            if rem == 0 and 1 < k0 < n and k0 not in found:
+                raise AssertionError(f"root {k0} lost at a={a}, b={b}, n={n}")
+    return found
 
 
 def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     """All integer wall indices strictly between 1 and n solving the quadratic.
 
-    Works for arbitrary rational widths: the quadratic is cleared to integer
-    coefficients and integer roots are extracted by a perfect-square
-    discriminant test plus divisibility, with no floating point anywhere.
+    Works for arbitrary rational widths: every coefficient is linear in the
+    widths, so clearing the widths' denominators by one lcm clears the
+    quadratic to integers, and _integer_roots extracts the roots with no
+    floating point anywhere.
     """
-    lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
-    return _integer_roots(lead, linear, constant, n)
+    a, b = check_wall_widths(upper, lower)
+    check_int(n, "strip count", 3)
+    scale = math.lcm(a.denominator, b.denominator)
+    return _integer_roots(
+        a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), n
+    )
 
 
 def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
@@ -227,21 +224,14 @@ def search_hits(
         if root * root != kern:
             continue
         # The window is checked above, so widths r > 1 need no validation here.
-        found = _integer_roots(*_integer_quadratic(r, 1, n), n)
-        # Every closed-form root that is an integer in (1, n) must be found;
-        # the closed form is divided here, not by _roots_between, which found them.
-        # Explicit raises, not asserts, so that python -O keeps the checks.
-        base, den = _closed_form(r, n)
-        for numerator in (base - root, base + root):
-            k0, rem = divmod(numerator, den)
-            if rem == 0 and 1 < k0 < n and k0 not in found:
-                raise AssertionError(f"root {k0} lost at r={r}, n={n}")
+        found = _integer_roots(r, 1, n)
         if not found:
             continue
         n_reg = is_regular(n) is not None
         if regular_only and not (n_reg and is_regular(r) is not None):
             continue
         for k0 in found:
+            # An explicit raise, not an assert, so that python -O keeps the check.
             if not verify_split(Trapezoid(r, 1, 1), n, k0):
                 raise AssertionError(f"oracle rejects r={r}, n={n}, k0={k0}")
             hits.append(SearchHit(r=r, n=n, k0=k0, n_regular=n_reg))

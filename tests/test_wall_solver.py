@@ -22,8 +22,8 @@ from trapwall.wall_solver import (
     SIEVE_MODULI,
     SearchHit,
     _candidates,
-    _cleared_quadratic,
-    _closed_form,
+    _integer_quadratic,
+    _integer_roots,
     _patterns,
     _roots_between,
     _sieve_patterns,
@@ -105,9 +105,17 @@ def paper_closed_form(r, n):
     return Fraction(base - root, den), Fraction(base + root, den)
 
 
+def cleared_widths(upper, lower):
+    """Both widths times the lcm of their denominators, as ints, and that lcm: the tests' own clearing."""
+    upper, lower = Fraction(upper), Fraction(lower)
+    scale = math.lcm(upper.denominator, lower.denominator)
+    return int(upper * scale), int(lower * scale), scale
+
+
 def cleared_discriminant(upper, lower, n):
-    """linear^2 - 4 lead constant of the solver's cleared integer quadratic."""
-    lead, linear, constant, _ = _cleared_quadratic(upper, lower, n)
+    """linear^2 - 4 lead constant of the solver's integer quadratic at the cleared widths."""
+    a, b, _ = cleared_widths(upper, lower)
+    lead, linear, constant = _integer_quadratic(a, b, n)
     return linear * linear - 4 * lead * constant
 
 
@@ -155,16 +163,19 @@ def fraction_verify_split(trap, n, k0):
 
 def test_wall_quadratic_coefficients():
     # Integer widths need no clearing: the scale is 1.
-    assert _cleared_quadratic(5, 1, 10) == (8, -208, 704, 1)
+    assert cleared_widths(5, 1) == (5, 1, 1)
+    assert _integer_quadratic(5, 1, 10) == (8, -208, 704)
     quad = fraction_wall_quadratic(5, 1, 10)
     assert evaluate(quad, 4) == 0 and evaluate(quad, 22) == 0
-    assert _cleared_quadratic(17, 1, 8) == (32, -576, 1440, 1)
+    assert _integer_quadratic(17, 1, 8) == (32, -576, 1440)
     quad = fraction_wall_quadratic(17, 1, 8)
     assert evaluate(quad, 3) == 0 and evaluate(quad, 15) == 0
+    # SMT 26's widths 1;40 and 0;20 clear to 5 and 1 with scale 3.
+    assert cleared_widths(Fraction(5, 3), Fraction(1, 3)) == (5, 1, 3)
     with pytest.raises(DomainError):
-        _cleared_quadratic(1, 1, 5)
+        solve_k0(1, 1, 5)
     with pytest.raises(DomainError):
-        _cleared_quadratic(5, 1, 2)
+        solve_k0(5, 1, 2)
 
 
 def test_discriminant_examples():
@@ -206,10 +217,11 @@ def test_k0_closed_form_matches_quadratic_roots():
         quad = fraction_wall_quadratic(r, 1, n)
         assert evaluate(quad, low) == 0 and evaluate(quad, high) == 0
         assert low < high
-        # search_hits' lost-root check divides the same roots in integers.
-        base, den = _closed_form(r, n)
-        root = math.isqrt(paper_kernel(r, n))
-        assert (Fraction(base - root, den), Fraction(base + root, den)) == (low, high)
+        # The root test that solve_k0 and search_hits share finds exactly the
+        # closed-form roots that are integers in (1, n).
+        assert _integer_roots(r, 1, n) == [
+            int(k) for k in (low, high) if k.denominator == 1 and 1 < k < n
+        ]
 
 
 def test_solve_k0_examples():
@@ -238,6 +250,16 @@ def test_verify_split_examples():
         verify_split(smt26, 10, 10)
 
 
+def run_under_python_O(script):
+    """The stdout lines of script run by a fresh python -O that imports this trapwall."""
+    src = str(Path(trapwall.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return run.stdout.splitlines()
+
+
 def test_search_hits_reproduces_table1():
     hits = search_hits(2, 20, 3, 1000)
     assert [(h.r, h.n, h.k0) for h in hits] == TABLE1
@@ -255,12 +277,7 @@ def test_search_hits_reproduces_table1():
         "except AssertionError:\n"
         "    print('rejected')\n"
     )
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    assert run.stdout.splitlines() == [repr(TABLE1), "rejected"]
+    assert run_under_python_O(script) == [repr(TABLE1), "rejected"]
 
 
 def test_only_a_search_builds_the_sieve_patterns():
@@ -281,23 +298,49 @@ def test_only_a_search_builds_the_sieve_patterns():
 
 
 def test_search_hits_catches_a_lost_root_under_python_O():
-    # On every perfect-square kernel the scan checks its integer root core
-    # against the closed-form roots, also under python -O: a core that finds
-    # nothing makes it raise at the first admissible root instead of returning [].
+    # On every perfect-square kernel the root test checks the quadratic
+    # formula's roots against the closed-form roots, also under python -O: a
+    # formula that finds nothing makes it raise at the first admissible root
+    # instead of returning [].
     script = (
         "from trapwall import wall_solver\n"
-        "wall_solver._integer_roots = lambda lead, linear, constant, n: []\n"
+        "wall_solver._roots_between = lambda neg_linear, root, den, n: []\n"
         "try:\n"
         "    print(wall_solver.search_hits(2, 20, 3, 1000))\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    assert run_under_python_O(script) == ["root 16 lost at a=2, b=1, n=37"]
+
+
+def test_wall_catches_a_lost_root_under_python_O():
+    # solve_k0 shares the scan's root test, so `wall` gets the same check: a
+    # formula that finds nothing raises instead of printing "no admissible wall".
+    script = (
+        "from trapwall import cli, wall_solver\n"
+        "wall_solver._roots_between = lambda neg_linear, root, den, n: []\n"
+        "for call in (lambda: wall_solver.solve_k0(2, 1, 37),\n"
+        "             lambda: cli.main(['wall', '2', '1', '1', '37'])):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
     )
-    assert run.stdout.splitlines() == ["root 16 lost at r=2, n=37"]
+    assert run_under_python_O(script) == ["root 16 lost at a=2, b=1, n=37"] * 2
+
+
+def test_wall_catches_a_spurious_root_under_python_O():
+    # `wall` confirms each index by geometry's closed-form areas, which share
+    # no code with the quadratic: a solver that returns a wrong index raises.
+    script = (
+        "from trapwall import cli, wall_solver\n"
+        "wall_solver.solve_k0 = lambda upper, lower, n: [15]\n"
+        "try:\n"
+        "    print(cli.main(['wall', '2', '1', '1', '37']))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_under_python_O(script) == ["unequal shares at k0=15, n=37"]
 
 
 @pytest.mark.parametrize(
@@ -511,7 +554,8 @@ def test_quadratic_discriminant_consistency(lower, delta, n):
 @settings(max_examples=300)
 def test_integer_solve_k0_matches_fraction_solver(lower, delta, n):
     upper = lower + delta
-    *cleared, scale = _cleared_quadratic(upper, lower, n)
+    a, b, scale = cleared_widths(upper, lower)
+    cleared = _integer_quadratic(a, b, n)
     assert tuple(Fraction(c, scale) for c in cleared) == fraction_wall_quadratic(upper, lower, n)
     assert solve_k0(upper, lower, n) == fraction_solve_k0(upper, lower, n)
 
