@@ -66,6 +66,8 @@ def parse_value(text: str) -> Fraction:
             raise ParseError("zero denominator") from None
         except ValueError:
             raise ParseError(_too_many_digits()) from None
+    if "/" in text:
+        raise ParseError(f"malformed ratio {text!r}")
     return parse_sex(text)
 
 

@@ -95,9 +95,8 @@ def transversal_bisector(upper: Rational, lower: Rational) -> QuadraticLength:
     return QuadraticLength.from_square((a * a + b * b) / 2)
 
 
-def _common_widths(trap: Trapezoid) -> tuple[int, int, int]:
-    """Integers A, B and D with upper = A/D and lower = B/D."""
-    a, b = trap.upper, trap.lower
+def _integer_widths(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """Integers A, B and D with a = A/D and b = B/D: the one integer form of two widths."""
     return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
@@ -107,7 +106,7 @@ def transversal_at(trap: Trapezoid, k: int, n: int) -> Fraction:
     Like the two strip areas below, it is one exact quotient of integers.
     """
     _index_pair(k, n)
-    big, small, den = _common_widths(trap)
+    big, small, den = _integer_widths(trap.upper, trap.lower)
     return Fraction((n - k) * big + k * small, n * den)
 
 
@@ -117,7 +116,7 @@ def cumulative_area(trap: Trapezoid, k: int, n: int) -> Fraction:
     h k ((2n-k) a + k b) / (2n^2), as one exact quotient of integers.
     """
     _index_pair(k, n)
-    big, small, den = _common_widths(trap)
+    big, small, den = _integer_widths(trap.upper, trap.lower)
     h = trap.height
     cut = k * ((2 * n - k) * big + k * small)
     return Fraction(h.numerator * cut, 2 * n * n * den * h.denominator)
@@ -130,7 +129,7 @@ def complement_area(trap: Trapezoid, k: int, n: int) -> Fraction:
     integers, computed apart from cumulative_area so that their sum checks both.
     """
     _index_pair(k, n)
-    big, small, den = _common_widths(trap)
+    big, small, den = _integer_widths(trap.upper, trap.lower)
     h = trap.height
     cut = k * ((2 * n - k) * big + k * small)
     return Fraction(h.numerator * (n * n * (big + small) - cut), 2 * n * n * den * h.denominator)

@@ -4,11 +4,12 @@ Choosing strip k0 of n as a party wall leaves equal shares iff k0 solves
 
     2(a-b) k0^2 - (4na - 2b + 2a) k0 + n^2(a+b) + 2na + a - b = 0
 
-with a, b the widths; solve_k0 clears it to integers. Natural solutions in
-1 < k0 < n are rare: they need the discriminant to be a perfect square. With
-a = r*b it is 4 b^2 * kernel(r, n), kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r,
-so the search scans kernel values for perfect squares. A residue sieve first
-drops the (r, n) whose kernel is a non-square modulo small m.
+with a, b the widths; solve_k0 takes them in geometry's one integer form.
+The discriminant is 4K, K = 2(a^2 + b^2) n^2 - (a - b)^2, so natural solutions
+in 1 < k0 < n are rare: they need K to be a perfect square, the one kernel
+test that wall and search share. With a = r*b, K = b^2 * kernel(r, n) where
+kernel(r, n) = (2n^2 - 1)(r^2 + 1) + 2r. A residue sieve drops the (r, n)
+whose kernel is a non-square modulo small m before the search tests the rest.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .geometry import Rational, Trapezoid, check_wall_index, check_wall_widths
+from .geometry import Rational, Trapezoid, _integer_widths, check_wall_index, check_wall_widths
 from .sexagesimal import check_int, is_regular, isqrt
 
 # A perfect square is a square residue modulo every m, so an (r, n) whose
 # kernel is a non-residue modulo one of these is skipped without an isqrt.
 # Each costs one C-level AND per line and at most m mask builds per block of
-# values, and each survivor costs ~0.3-0.5 us of Python (walk, kernel, isqrt).
+# values, and each survivor costs ~0.7 us of Python (walk, _integer_roots).
 # Summed over the 27 windows of search_scan seeds 3-5, 43 and 47 cut the
 # survivors from 7,583 to 2,221 and search_hits' time by ~10% (median of eight
 # runs); adding 53 too, or 53 and 59, or putting 43 and 47 (and 53) in place
@@ -101,23 +102,26 @@ def _roots_between(neg_linear: int, root: int, den: int, n: int) -> list[int]:
 def _integer_roots(a: int, b: int, n: int) -> list[int]:
     """The wall indices strictly between 1 and n for integer widths a > b > 0.
 
-    The discriminant is 4K with K = 2(a^2 + b^2) n^2 - (a - b)^2 > 0, so the
-    roots are a perfect-square test plus divisibility. The closed form
-    ((2n + 1) a - b -+ sqrt(K)) / 2(a - b) then divides the same roots with its
-    own isqrt and divmod, and must give no index that the formula missed:
-    an explicit raise, not an assert, so that python -O keeps the check.
+    The discriminant is 4K with K = 2(a^2 + b^2) n^2 - (a - b)^2 > 0, so there
+    is no root unless K is a perfect square: the one kernel test, and the only
+    work done on any other K. On a square K the quadratic formula finds the
+    roots from its own discriminant and isqrt, and the closed form
+    ((2n + 1) a - b -+ sqrt(K)) / 2(a - b) divides them again. It must give no
+    index that the formula missed: an explicit raise, not an assert, so that
+    python -O keeps the check.
     """
+    kern = 2 * (a * a + b * b) * n * n - (a - b) ** 2
+    half = math.isqrt(kern)
+    if half * half != kern:
+        return []
     lead, linear, constant = _integer_quadratic(a, b, n)
     root, perfect = isqrt(linear * linear - 4 * lead * constant)
     found = _roots_between(-linear, root, 2 * lead, n) if perfect else []
-    kern = 2 * (a * a + b * b) * n * n - (a - b) ** 2
-    half = math.isqrt(kern)
-    if half * half == kern:
-        base = (2 * n + 1) * a - b
-        for numerator in (base - half, base + half):
-            k0, rem = divmod(numerator, 2 * (a - b))
-            if rem == 0 and 1 < k0 < n and k0 not in found:
-                raise AssertionError(f"root {k0} lost at a={a}, b={b}, n={n}")
+    base = (2 * n + 1) * a - b
+    for numerator in (base - half, base + half):
+        k0, rem = divmod(numerator, 2 * (a - b))
+        if rem == 0 and 1 < k0 < n and k0 not in found:
+            raise AssertionError(f"root {k0} lost at a={a}, b={b}, n={n}")
     return found
 
 
@@ -125,16 +129,14 @@ def solve_k0(upper: Rational, lower: Rational, n: int) -> list[int]:
     """All integer wall indices strictly between 1 and n solving the quadratic.
 
     Works for arbitrary rational widths: every coefficient is linear in the
-    widths, so clearing the widths' denominators by one lcm clears the
-    quadratic to integers, and _integer_roots extracts the roots with no
-    floating point anywhere.
+    widths, so widths A/D and B/D (geometry's integer form) have the roots of
+    widths A and B, and _integer_roots extracts them with no floating point
+    anywhere. A non-square kernel ends the call before the quadratic formula.
     """
     a, b = check_wall_widths(upper, lower)
     check_int(n, "strip count", 3)
-    scale = math.lcm(a.denominator, b.denominator)
-    return _integer_roots(
-        a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator), n
-    )
+    big, small, _ = _integer_widths(a, b)
+    return _integer_roots(big, small, n)
 
 
 def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
@@ -142,17 +144,15 @@ def verify_split(trap: Trapezoid, n: int, k0: int) -> bool:
 
     Deliberately independent of the quadratic and of the closed-form strip
     areas; it walks the transversal widths w[0..n] strip by strip in integers.
-    With the widths' denominators cleared by one lcm, n times w[i] is the
-    integer (n - i) * upper + i * lower. Strip i has area (w[i-1] + w[i]) * height / 2n,
+    With the widths in geometry's integer form A/D and B/D, n D w[i] is the
+    integer (n - i) A + i B. Strip i has area (w[i-1] + w[i]) * height / 2n,
     and the factor height / 2n is common, so equal areas mean equal sums of w[i-1] + w[i].
     Within a side each inner width bounds two strips and is counted twice: the
     walk sums it once and doubles it, and adds the side's two outer widths once.
     """
     check_wall_index(trap, n, k0)
-    scale = math.lcm(trap.upper.denominator, trap.lower.denominator)
-    upper = trap.upper.numerator * (scale // trap.upper.denominator)
-    lower = trap.lower.numerator * (scale // trap.lower.denominator)
-    # width[i] = n * scale * w[i] for i = 0..n; strip i spans width[i - 1] to width[i].
+    upper, lower, _ = _integer_widths(trap.upper, trap.lower)
+    # width[i] = n * D * w[i] for i = 0..n; strip i spans width[i - 1] to width[i].
     width = range(n * upper, n * lower + lower - upper, lower - upper)
     left = width[0] + 2 * sum(width[1 : k0 - 1]) + width[k0 - 1]
     right = width[k0] + 2 * sum(width[k0 + 1 : n]) + width[n]
@@ -218,11 +218,6 @@ def search_hits(
 
     hits = []
     for r, n in _candidates(r_lo, r_hi, n_lo, n_hi):
-        kern = (2 * n * n - 1) * (r * r + 1) + 2 * r
-        # Inline, not sexagesimal.isqrt: this runs once per sieve survivor.
-        root = math.isqrt(kern)
-        if root * root != kern:
-            continue
         # The window is checked above, so widths r > 1 need no validation here.
         found = _integer_roots(r, 1, n)
         if not found:

@@ -65,6 +65,9 @@ def test_convert_parse_error(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "convert", "5/00")
     assert code == 2 and err == "error: zero denominator\n"
+    # A numeral has no '/', so other text with one is refused as a ratio.
+    for text in ("5/-3", "1/2/3"):
+        assert run_cli(capsys, "convert", text) == (2, "", f"error: malformed ratio {text!r}\n")
 
 
 def test_convert_decimal_labeled_approx(capsys):

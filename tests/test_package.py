@@ -75,7 +75,7 @@ def test_star_import_binds_the_public_names():
 
 def test_library_has_no_assert_and_no_float():
     # python -O strips assert statements, and exact arithmetic admits no float.
-    allowed_math = {"isqrt", "lcm", "gcd"}
+    allowed_math = {"isqrt", "gcd"}
     for path in sorted(Path(trapwall.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"

@@ -534,12 +534,21 @@ def test_search_hit_record():
 
 def test_solve_k0_agrees_with_exhaustive_oracle():
     # Integer ratios 2..12, any strip count up to 40: the solver finds exactly
-    # the indices the brute-force oracle accepts.
-    for ratio in range(2, 13):
-        trap = Trapezoid(ratio, 1, 1)
+    # the indices the brute-force oracle accepts. So do rational widths whose
+    # denominators share a factor (5/2 and 5/4, 1/2 and 1/6), so that the
+    # product of the denominators, which both scale the widths by, is not
+    # their lcm.
+    shapes = [(ratio, 1) for ratio in range(2, 13)]
+    shapes += [(Fraction(p, 6), Fraction(5, 4)) for p in range(8, 48)]
+    shapes += [(Fraction(p, 4), Fraction(1, 6)) for p in range(1, 40)]
+    walls = 0
+    for upper, lower in shapes:
+        trap = Trapezoid(upper, lower, 1)
         for n in range(3, 41):
             from_oracle = [k for k in range(2, n) if verify_split(trap, n, k)]
             assert solve_k0(trap.upper, trap.lower, n) == from_oracle
+            walls += len(from_oracle)
+    assert walls > 0
 
 
 @given(widths, widths, st.integers(min_value=3, max_value=100))
