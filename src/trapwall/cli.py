@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import geometry, party_wall, wall_solver
 from .errors import (
     DigitLimitError,
-    DomainError,
     NonTerminatingError,
     ParseError,
     PlacesExceededError,
+    TrapwallError,
 )
 from .party_wall import PartyWallPlan
 from .sexagesimal import (
@@ -37,9 +37,6 @@ from .sexagesimal import (
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
-EXIT_SYNTAX = 2
-EXIT_REPRESENTATION = 3
-EXIT_DOMAIN = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process that signal killed
 
 DEFAULT_PLACES = 5
@@ -317,13 +314,6 @@ _COMMANDS = {
     "smt26": ("replay the tablet's computations", cmd_smt26, ()),
 }
 _NUMERAL_COMMANDS = {"convert", "bisect", "strips", "wall"}
-_EXIT_CODES = {
-    ParseError: EXIT_SYNTAX,
-    NonTerminatingError: EXIT_REPRESENTATION,
-    PlacesExceededError: EXIT_REPRESENTATION,
-    DigitLimitError: EXIT_REPRESENTATION,
-    DomainError: EXIT_DOMAIN,
-}
 
 
 def _add_command_arguments(p: argparse.ArgumentParser, name: str) -> None:
@@ -366,7 +356,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     The command's own parser is the subparser that the full parser would
     use, as a parser of its own (prog "trapwall <command>"): it parses and
     refuses what follows the name as the full parser does, except that it
-    leaves unknown arguments over where the full parser refuses them.
+    refuses unknown arguments under its own usage line, not the full parser's.
     """
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"trapwall {command}", add_help=False)
@@ -383,24 +373,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed command and map a refused input to its exit code."""
+    """Run the parsed command; a refused input exits with its error type's exit code."""
     try:
         return args.handler(args)
-    except tuple(_EXIT_CODES) as exc:
+    except TrapwallError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        return exc.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = extras = None
+    # One parser per call: a command's own refuses what it does not know under its
+    # own usage line, and the full parser takes help and errors before a command name.
     if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extras:
-        # Help and errors before a command name, and arguments the command
-        # leaves over, get the full parser's usage line and messages.
-        args = build_parser().parse_args(argv)
-    return _dispatch(args)
+        return _dispatch(build_parser(argv[0]).parse_args(argv[1:]))
+    return _dispatch(build_parser().parse_args(argv))
 
 
 def run() -> None:

@@ -126,7 +126,9 @@ def complement_area(trap: Trapezoid, k: int, n: int) -> Fraction:
     """Area right of the k-th of n transversals, to the narrow end.
 
     h (n^2 (a+b) - k ((2n-k) a + k b)) / (2n^2), as one exact quotient of
-    integers, computed apart from cumulative_area so that their sum checks both.
+    integers. Its term k ((2n-k) a + k b) is cumulative_area's: S + S' checks
+    the factors around it and that the two copies agree, not the term itself,
+    which the tests check against brute-force and interpolated references.
     """
     _index_pair(k, n)
     big, small, den = _integer_widths(trap.upper, trap.lower)

@@ -152,6 +152,13 @@ def test_bisect_truncated_root(capsys):
     assert code == 0
     assert "d^2 = 1;26,40" in out
     assert "d = 1;12,6,39,41,30 (truncated)" in out
+    # An irrational root in the other two numeral modes: d^2 = 5/2.
+    code, out, _ = run_cli(capsys, "bisect", "2", "1", "--numeral", "rat")
+    assert (code, out) == (0, "d^2 = 5/2\nd = sqrt(5/2)\n")
+    for places, root in ([], "1.58113"), (["--places", "0"], "1"):
+        code, out, _ = run_cli(capsys, "bisect", "2", "1", "--numeral", "dec", *places)
+        assert code == 0
+        assert out.splitlines()[1] == f"d = {root} (approx)"
 
 
 def test_bisect_of_huge_denominators_prints_truncated_lines(capsys):
@@ -467,7 +474,7 @@ def test_unknown_command_exits_2():
 
 
 def test_every_package_error_has_an_exit_code():
-    # An error the table does not cover would escape main as a traceback.
+    # main returns the exit code that a refused input's error type carries.
     raised = [
         cls
         for cls in vars(errors).values()
@@ -476,7 +483,7 @@ def test_every_package_error_has_an_exit_code():
     ]
     assert raised
     for cls in raised:
-        assert any(issubclass(cls, key) for key in cli._EXIT_CODES), cls.__name__
+        assert getattr(cls, "exit_code", None) in {2, 3, 4}, cls.__name__
 
 
 def package_env():
@@ -520,9 +527,9 @@ def full_parser_call(argv):
 
 COMMANDS = ["convert", "bisect", "strips", "wall", "search", "smt26"]
 WALL_ARGS = ["1;40", "0;20", "1", "10"]
-# The command's own parser leaves arguments over, so main parses these again
-# with the full parser, which refuses them under its own usage line. With a
-# positional missing ("convert --bogus"), the command's parser refuses first.
+# Arguments the command's own parser does not know: it refuses them under its
+# own usage line, where the full parser would use the top-level one. With a
+# positional missing ("convert --bogus"), both refuse the missing positional.
 LEFTOVER_CASES = [
     ["smt26", "--bogus"],
     ["smt26", "--places", "2"],  # smt26 takes no --places
@@ -564,12 +571,16 @@ def test_one_subcommand_parses_as_all_six_do(argv, columns, monkeypatch):
     monkeypatch.setattr(
         cli, "build_parser", lambda command=None: built.append(command) or build_parser(command)
     )
-    assert outcome(argv) == full
-    if argv and argv[0] in COMMANDS:
-        # None is the full parser, built only for arguments left over.
-        assert built == [argv[0]] + [None] * (argv in LEFTOVER_CASES)
+    code, out, err = outcome(argv)
+    if argv in LEFTOVER_CASES:
+        leftover = full[2].splitlines()[-1].partition("unrecognized arguments:")[2]
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: trapwall {argv[0]}")
+        assert err.splitlines()[-1] == f"trapwall {argv[0]}: error: unrecognized arguments:{leftover}"
     else:
-        assert built == [None]
+        assert (code, out, err) == full
+    # One parser per call: the command's own, or the full parser (None) without a command name.
+    assert built == ([argv[0]] if argv and argv[0] in COMMANDS else [None])
 
 
 TRAPEZOID_ARGS = ["upper", "lower", "height", "n"]
