@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapwall
+from trapwall import wall_solver
 from trapwall.errors import DomainError
 from trapwall.geometry import Trapezoid, check_widths, transversal_at
 from trapwall.party_wall import plan_wall
@@ -21,12 +22,15 @@ from trapwall.wall_solver import (
     SIEVE_BLOCK,
     SIEVE_MODULI,
     SearchHit,
+    _band,
     _candidates,
     _integer_quadratic,
     _integer_roots,
     _patterns,
     _roots_between,
     _sieve_patterns,
+    _slopes,
+    _wedge,
     search_hits,
     solve_k0,
     verify_split,
@@ -281,20 +285,21 @@ def test_search_hits_reproduces_table1():
 
 
 def test_only_a_search_builds_the_sieve_patterns():
-    # Importing the CLI and converting a numeral builds no pattern; the first
-    # search builds all of them once, and the next search reuses them.
+    # Importing the CLI and converting a numeral builds no pattern, and neither
+    # does a search that the band serves; the first search that reaches the
+    # sieve builds all of them once, and the next search reuses them.
     script = (
         "from trapwall import cli, wall_solver\n"
         "built = wall_solver._sieve_patterns.cache_info\n"
         "print(cli.main(['convert', '5/3']), built().misses)\n"
-        "wall_solver.search_hits(5, 5, 10, 10)\n"
-        "wall_solver.search_hits(2, 20, 3, 40)\n"
-        "print(built().misses, built().hits)\n"
+        "for window in [(5, 5, 10, 10), (2, 20, 3, 40), (2, 20, 3, 40)]:\n"
+        "    wall_solver.search_hits(*window)\n"
+        "    print(built().misses, built().hits)\n"
     )
     src = str(Path(trapwall.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines() == ["1;40", "0 0", "1 1"]
+    assert run.stdout.splitlines() == ["1;40", "0 0", "0 0", "1 0", "1 1"]
 
 
 def test_search_hits_catches_a_lost_root_under_python_O():
@@ -311,6 +316,23 @@ def test_search_hits_catches_a_lost_root_under_python_O():
         "    print(exc)\n"
     )
     assert run_under_python_O(script) == ["root 16 lost at a=2, b=1, n=37"]
+
+
+def test_search_hits_catches_a_band_that_disagrees_with_the_root_test_under_python_O():
+    # The band serves (5, 5, 10, 10) and finds k0 = 4 by r den = num alone; a
+    # root test that gives anything else makes the search raise, also under -O.
+    script = (
+        "from trapwall import wall_solver\n"
+        "for roots in ([], [3], [4, 5]):\n"
+        "    wall_solver._integer_roots = lambda a, b, n: roots\n"
+        "    try:\n"
+        "        print(wall_solver.search_hits(5, 5, 10, 10))\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert run_under_python_O(script) == [
+        f"band gives k0=4 at r=5, n=10, the root test {roots}" for roots in ([], [3], [4, 5])
+    ]
 
 
 def test_wall_catches_a_lost_root_under_python_O():
@@ -343,24 +365,185 @@ def test_wall_catches_a_spurious_root_under_python_O():
     assert run_under_python_O(script) == ["unequal shares at k0=15, n=37"]
 
 
-@pytest.mark.parametrize(
-    "window, regular_only, count",
-    [
-        ((2, 211, 3, 1000), False, 37),
-        ((2, 45, 3, 30000), False, 49),
-        ((2, 60, 3, 1000), True, 3),
-        # Wider in r than in n, so sieved along r: the hits must still come in (r, n) order.
-        ((2, 9000, 3, 20), False, 6),
-        ((2, 2000, 3, 60), False, 13),
-        ((2, 5000, 3, 40), True, 3),
-        ((2, 2, 3, 3), False, 0),
-        ((5, 5, 10, 10), False, 1),
-    ],
-)
+NO_CASE_LOST = [
+    ((2, 211, 3, 1000), False, 37),
+    ((2, 45, 3, 30000), False, 49),
+    ((2, 60, 3, 1000), True, 3),
+    # Wider in r than in n, so the sieve runs along r: the hits must still come in (r, n) order.
+    ((2, 9000, 3, 20), False, 6),
+    ((2, 2000, 3, 60), False, 13),
+    ((2, 5000, 3, 40), True, 3),
+    ((2, 2, 3, 3), False, 0),
+    ((5, 5, 10, 10), False, 1),
+]
+
+
+@pytest.mark.parametrize("window, regular_only, count", NO_CASE_LOST)
 def test_sieve_loses_no_case(window, regular_only, count):
     hits = search_hits(*window, regular_only=regular_only)
     assert hits == plain_scan(*window, regular_only=regular_only)
     assert len(hits) == count
+
+
+# A sieve estimate no bound reaches, or one every bound exceeds, sends every
+# window to one source.
+FORCE = {"band": 10**30, "sieve": -(10**30)}
+
+
+@pytest.mark.parametrize(
+    "window, regular_only, count, source",
+    [
+        (*case, source)
+        for case in NO_CASE_LOST
+        for source in FORCE
+        # The band would walk ~10^8 slopes of its wedge from s(2) - 1/9 to s(45)
+        # with denominators up to 30,000 (the sieve takes ~3 ms).
+        if (case[0], source) != ((2, 45, 3, 30000), "band")
+    ],
+)
+def test_each_source_alone_loses_no_case(monkeypatch, window, regular_only, count, source):
+    # The band with the root test, and the sieve with the root test, each
+    # give every hit of the plain scan, whichever source the choice would take.
+    monkeypatch.setattr(wall_solver, "_SIEVE_FIXED_POINTS", FORCE[source])
+    hits = search_hits(*window, regular_only=regular_only)
+    assert hits == plain_scan(*window, regular_only=regular_only)
+    assert len(hits) == count
+
+
+def source_taken(window):
+    """Where search_hits takes the cases of window: "band", "sieve along n" or "sieve along r"."""
+    taken = []
+    candidates = wall_solver._candidates
+
+    def spy(r_lo, r_hi, n_lo, n_hi):
+        taken.append("sieve along n" if n_hi - n_lo >= r_hi - r_lo else "sieve along r")
+        return candidates(r_lo, r_hi, n_lo, n_hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wall_solver, "_candidates", spy)
+        search_hits(*window)
+    return taken[0] if taken else "band"
+
+
+@pytest.mark.parametrize(
+    "window, source",
+    [
+        # Criterion 2, and CI's installed-script windows (.github/workflows/tests.yml).
+        ((2, 211, 3, 1000), "sieve along n"),
+        ((2, 20, 3, 1000), "sieve along n"),
+        ((2, 2000, 3, 60), "sieve along r"),
+        ((2, 9000, 3, 20), "band"),
+        ((10000, 160000, 600, 760), "band"),
+        # search_scan's windows of large ratios: 250 ratios in 10,000..32,000
+        # by 1,000 strip counts from 1,000..3,000.
+        ((10000, 10249, 1000, 1999), "band"),
+        ((31750, 31999, 3000, 3999), "band"),
+        # A whole ray of lattice points sits on the slope 7/5 at r = 41 and on
+        # 4/3 at r = 7 (2(r^2 + 1) is a square), so the bound sends both to the sieve.
+        ((41, 41, 500000, 1000000), "sieve along n"),
+        ((7, 7, 200000, 400000), "sieve along n"),
+        # A window from small n keeps the margin 1/n_lo^2 and stays on the sieve.
+        ((3, 3, 3, 300000), "sieve along n"),
+        # A window of one case takes the band and builds no sieve table.
+        ((5, 5, 10, 10), "band"),
+    ],
+)
+def test_each_window_takes_its_pinned_source(window, source):
+    assert source_taken(window) == source
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        (2, 9000, 3, 20),
+        (10000, 160000, 600, 760),
+        (10000, 10249, 1000, 1999),
+        (31750, 31999, 3000, 3999),
+        (2, 300000, 17, 17),
+        (2, 300000, 3, 3),
+        (5, 5, 10, 10),
+        (153677, 153677, 746, 746),
+    ],
+)
+def test_band_work_stays_under_its_bound(window):
+    assert source_taken(window) == "band"
+    bound, points = _band(*window)
+    assert sum(1 for _ in points) <= bound
+
+
+def designs_up_to(n_max):
+    """Every (r, n, k0) with n <= n_max and an integer ratio r >= 2, from r = num / den alone."""
+    found = []
+    for n in range(3, n_max + 1):
+        for k0 in range(2, n):
+            num = n * n - (k0 - 1) ** 2 - k0 * k0
+            den = n * n - (n - k0) ** 2 - (n - k0 + 1) ** 2
+            if den > 0 and num % den == 0 and num // den >= 2:
+                found.append((num // den, n, k0))
+    return sorted(found)
+
+
+def test_every_design_lies_in_its_wedge():
+    designs = designs_up_to(1000)
+    # 63 designs, the largest (153677, 746, 219); criterion 2 holds 37 of them.
+    assert len(designs) == 63 and max(designs) == (153677, 746, 219)
+    assert len([d for d in designs if d[0] <= 211]) == 37
+    for r, n, k0 in designs:
+        u = 2 * (n - k0) + 1
+        lo, hi, scale = _wedge(r, r, n, n)
+        assert lo * n <= scale * u <= hi * n
+        # The wedge of a single (r, n) is narrower than the 1/n^2 margin plus 1/n^2.
+        assert (hi - lo) * n * n < 2 * scale
+    assert [(h.r, h.n, h.k0) for h in search_hits(2, 200000, 3, 1000)] == designs
+
+
+@given(
+    lo=st.integers(min_value=1, max_value=3 << 12),
+    width=st.integers(min_value=0, max_value=1 << 12),
+    q_max=st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_slopes_are_every_reduced_fraction_of_the_interval(lo, width, q_max):
+    scale, hi = 1 << 11, lo + width
+    slopes = list(_slopes(lo, hi, scale, q_max))
+    expected = {
+        (p, q)
+        for q in range(1, q_max + 1)
+        for p in range(-(-lo * q // scale), hi * q // scale + 1)
+        if math.gcd(p, q) == 1
+    }
+    assert len(slopes) == len(expected) and set(slopes) == expected
+    if slopes:
+        # The first is the simplest: no other has a smaller denominator.
+        assert slopes[0][1] == min(q for _, q in slopes)
+
+
+@given(
+    r_lo=st.one_of(st.sampled_from([2, 7, 41, 239]), st.integers(2, 400), st.integers(400, 200_000)),
+    r_span=st.one_of(st.just(0), st.integers(0, 60), st.integers(0, 20_000)),
+    n_lo=st.one_of(st.just(3), st.integers(3, 100), st.integers(100, 5000)),
+    n_span=st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 1000)),
+    regular_only=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_search_near_the_choice_matches_the_plain_scan(r_lo, r_span, n_lo, n_span, regular_only):
+    # Windows of one ratio or one strip count, r = 2, n = 3, the ratios whose
+    # 2(r^2 + 1) is a square, and shapes on both sides of the choice. At most
+    # ~20,000 cases, so that the plain scan stays quick.
+    r_hi = r_lo + r_span
+    n_hi = n_lo + min(n_span, 20_000 // (r_span + 1))
+    window = (r_lo, r_hi, n_lo, n_hi)
+    expected = plain_scan(*window, regular_only=regular_only)
+    assert search_hits(*window, regular_only=regular_only) == expected
+    bound, points = _band(*window)
+    for source in FORCE:
+        if source == "band" and bound > 100_000:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wall_solver, "_SIEVE_FIXED_POINTS", FORCE[source])
+            assert search_hits(*window, regular_only=regular_only) == expected
+    if source_taken(window) == "band":
+        assert sum(1 for _ in points) <= bound
 
 
 def test_kernel_square_tables_match_their_definition():
@@ -475,14 +658,15 @@ def test_sieve_cache_memory_is_bounded():
 )
 def test_sieve_memory_does_not_grow_with_the_range(window, expected):
     # 300,000 values are about 73 blocks; one mask over the whole range
-    # would take more than 290 KiB on its own.
+    # would take more than 290 KiB on its own. search_hits gives the second
+    # window to the band, so the sieve runs here directly.
     tracemalloc.start()
     try:
-        hits = search_hits(*window)
+        hits = [(r, n, k0) for r, n in _candidates(*window) for k0 in _integer_roots(r, 1, n)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [(h.r, h.n, h.k0) for h in hits] == expected
+    assert sorted(hits) == expected
     assert peak < 256 * 1024
 
 
