@@ -369,7 +369,9 @@ NO_CASE_LOST = [
     ((2, 211, 3, 1000), False, 37),
     ((2, 45, 3, 30000), False, 49),
     ((2, 60, 3, 1000), True, 3),
-    # Wider in r than in n, so the sieve runs along r: the hits must still come in (r, n) order.
+    # Wider in r than in n: the chosen source is the sieve along r for
+    # (2, 2000, 3, 60) and (2, 5000, 3, 40), and the band for (2, 9000, 3, 20).
+    # Either way the hits must still come in (r, n) order.
     ((2, 9000, 3, 20), False, 6),
     ((2, 2000, 3, 60), False, 13),
     ((2, 5000, 3, 40), True, 3),
@@ -377,34 +379,30 @@ NO_CASE_LOST = [
     ((5, 5, 10, 10), False, 1),
 ]
 
-
-@pytest.mark.parametrize("window, regular_only, count", NO_CASE_LOST)
-def test_sieve_loses_no_case(window, regular_only, count):
-    hits = search_hits(*window, regular_only=regular_only)
-    assert hits == plain_scan(*window, regular_only=regular_only)
-    assert len(hits) == count
-
-
 # A sieve estimate no bound reaches, or one every bound exceeds, sends every
-# window to one source.
+# window to one source; "chosen" leaves the choice to search_hits.
 FORCE = {"band": 10**30, "sieve": -(10**30)}
 
 
 @pytest.mark.parametrize(
     "window, regular_only, count, source",
     [
-        (*case, source)
-        for case in NO_CASE_LOST
-        for source in FORCE
+        # The chosen source keeps the ids these windows had before the band.
+        pytest.param(
+            *case, source, id=f"window{i}-{case[1]}-{case[2]}" + ("" if source == "chosen" else f"-{source}")
+        )
+        for i, case in enumerate(NO_CASE_LOST)
+        for source in ["chosen", *FORCE]
         # The band would walk ~10^8 slopes of its wedge from s(2) - 1/9 to s(45)
         # with denominators up to 30,000 (the sieve takes ~3 ms).
         if (case[0], source) != ((2, 45, 3, 30000), "band")
     ],
 )
-def test_each_source_alone_loses_no_case(monkeypatch, window, regular_only, count, source):
-    # The band with the root test, and the sieve with the root test, each
-    # give every hit of the plain scan, whichever source the choice would take.
-    monkeypatch.setattr(wall_solver, "_SIEVE_FIXED_POINTS", FORCE[source])
+def test_sieve_loses_no_case(monkeypatch, window, regular_only, count, source):
+    # The chosen source, the band with the root test alone, and the sieve with
+    # the root test alone each give every hit of the plain scan.
+    if source in FORCE:
+        monkeypatch.setattr(wall_solver, "_SIEVE_FIXED_POINTS", FORCE[source])
     hits = search_hits(*window, regular_only=regular_only)
     assert hits == plain_scan(*window, regular_only=regular_only)
     assert len(hits) == count
@@ -658,16 +656,22 @@ def test_sieve_cache_memory_is_bounded():
 )
 def test_sieve_memory_does_not_grow_with_the_range(window, expected):
     # 300,000 values are about 73 blocks; one mask over the whole range
-    # would take more than 290 KiB on its own. search_hits gives the second
-    # window to the band, so the sieve runs here directly.
-    tracemalloc.start()
-    try:
-        hits = [(r, n, k0) for r, n in _candidates(*window) for k0 in _integer_roots(r, 1, n)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sorted(hits) == expected
-    assert peak < 256 * 1024
+    # would take more than 290 KiB on its own. search_hits gives the first
+    # window to the sieve and the second to the band, so the sieve also runs
+    # on each window directly.
+    searches = [
+        lambda: [(h.r, h.n, h.k0) for h in search_hits(*window)],
+        lambda: sorted((r, n, k0) for r, n in _candidates(*window) for k0 in _integer_roots(r, 1, n)),
+    ]
+    for search in searches:
+        tracemalloc.start()
+        try:
+            hits = search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == expected
+        assert peak < 256 * 1024
 
 
 @given(widths, widths, widths, st.integers(min_value=3, max_value=40))
