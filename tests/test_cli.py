@@ -5,21 +5,20 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trapwall
 from trapwall import cli, errors, geometry
 from trapwall.cli import build_parser, main
 from trapwall.party_wall import plan_wall
 from trapwall.wall_solver import solve_k0
+
+from conftest import fresh_python
 
 
 def run_cli(capsys, *argv):
@@ -486,18 +485,12 @@ def test_every_package_error_has_an_exit_code():
         assert getattr(cls, "exit_code", None) in {2, 3, 4}, cls.__name__
 
 
-def package_env():
-    """The environment for a fresh interpreter that imports this trapwall."""
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
 def test_broken_pipe_exits_141_without_traceback():
     # `trapwall strips 5/3 1/3 1 20000 | head -1`: the output far exceeds a
     # pipe's buffer, so the command is still writing when its reader leaves.
-    argv = [sys.executable, "-m", "trapwall", "strips", "5/3", "1/3", "1", "20000"]
-    with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()
+    with fresh_python(
+        "-m", "trapwall", "strips", "5/3", "1/3", "1", "20000",
+        call=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -664,10 +657,7 @@ def test_importing_cli_builds_no_parser():
         "import trapwall.cli\n"
         "print(len(built))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=package_env(), check=True,
-    )
+    run = fresh_python("-c", script, capture_output=True, text=True, check=True)
     assert run.stdout == "0\n"
 
 

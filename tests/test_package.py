@@ -5,9 +5,6 @@ import ast
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -25,6 +22,8 @@ from trapwall import (
     search_hits,
     transversal_bisector,
 )
+
+from conftest import fresh_python
 
 PUBLIC_NAMES = [
     "DomainError",
@@ -114,9 +113,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "import trapwall.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    run = fresh_python("-c", script, capture_output=True, text=True, check=True)
     assert run.stdout.splitlines() == ["[]"]
 
 

@@ -1,16 +1,11 @@
 """Tests for party-wall plans and the tablet traces."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trapwall
 from trapwall.errors import DomainError
 from trapwall.geometry import Trapezoid, area, transversal_at
 from trapwall.party_wall import (
@@ -20,6 +15,8 @@ from trapwall.party_wall import (
 )
 from trapwall.sexagesimal import MAX_EXACT_PLACES, rational_to_sex
 from trapwall.wall_solver import solve_k0, verify_split
+
+from conftest import fresh_python
 
 SMT26 = Trapezoid(Fraction(5, 3), Fraction(1, 3), 1)
 
@@ -184,12 +181,7 @@ def test_trace_truncation_coincides_with_exact_midline():
 
 def run_under_python_O(script):
     """The stdout lines of script run by python -O with this checkout's package."""
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    return run.stdout.splitlines()
+    return fresh_python("-O", "-c", script, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 def test_trace_checks_survive_python_O():

@@ -1,18 +1,13 @@
 """Tests for the wall quadratic, discriminant kernel and the (r, n) search."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trapwall
 from trapwall import wall_solver
 from trapwall.errors import DomainError
 from trapwall.geometry import Trapezoid, check_widths, transversal_at
@@ -35,6 +30,8 @@ from trapwall.wall_solver import (
     solve_k0,
     verify_split,
 )
+
+from conftest import fresh_python
 
 TABLE1 = [
     (2, 37, 16),
@@ -256,12 +253,7 @@ def test_verify_split_examples():
 
 def run_under_python_O(script):
     """The stdout lines of script run by a fresh python -O that imports this trapwall."""
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    return run.stdout.splitlines()
+    return fresh_python("-O", "-c", script, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 def test_search_hits_reproduces_table1():
@@ -296,9 +288,7 @@ def test_only_a_search_builds_the_sieve_patterns():
         "    wall_solver.search_hits(*window)\n"
         "    print(built().misses, built().hits)\n"
     )
-    src = str(Path(trapwall.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    run = fresh_python("-c", script, capture_output=True, text=True, check=True)
     assert run.stdout.splitlines() == ["1;40", "0 0", "0 0", "1 0", "1 1"]
 
 
@@ -426,7 +416,8 @@ def source_taken(window):
 @pytest.mark.parametrize(
     "window, source",
     [
-        # Criterion 2, and CI's installed-script windows (.github/workflows/tests.yml).
+        # Criterion 2, and the search windows of the console-script table
+        # (tests/test_console_script.py).
         ((2, 211, 3, 1000), "sieve along n"),
         ((2, 20, 3, 1000), "sieve along n"),
         ((2, 2000, 3, 60), "sieve along r"),
